@@ -26,11 +26,17 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.agents.agent import Agent, Completion, Departure, trusted_agent_class
 from repro.agents.environment import AgentEnvironment
-from repro.agents.integrity import APPRAISAL_ATTRIBUTE, IntegrityAuthority
+from repro.agents.integrity import (
+    APPRAISAL_ATTRIBUTE,
+    COMMITMENT_ATTRIBUTE,
+    IntegrityAuthority,
+)
+from repro.agents.itinerary import ItineraryCommitment
 from repro.agents.transfer import AgentImage
 from repro.core.binding import BindingService
 from repro.core.domain_db import DomainDatabase
@@ -96,6 +102,14 @@ def _revoke_holder_tokens(domain: ProtectionDomain) -> None:
     """
     if domain.credentials is not None:
         default_epoch_registry().bump_holder(str(domain.credentials.agent))
+
+
+# The sender counter for each way a resident's own departure can miss.
+_DEPARTURE_MISS_COUNTERS = {
+    "breaker-open": "transfers_failed_breaker",
+    "failed": "transfers_failed_exhausted",
+    "refused": "transfers_refused_remote",
+}
 
 
 class AgentServer:
@@ -406,22 +420,12 @@ class AgentServer:
         if not thread.is_alive or self._threads.get(domain_id) is not thread:
             return  # already departed/completed/terminated
         thread.kill()
-        with self.domain_db.privileged():
-            if domain_id in self.domain_db:
-                self.domain_db.set_status(domain_id, "terminated")
-                _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
-        self.registry.remove_ephemeral_of(domain_id)
-        self._threads.pop(domain_id, None)
-        image = self._resident_images.pop(domain_id, None)
-        self._instances.pop(domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
+        self._retire(domain_id, "terminated", operation=None)
         self.stats.add("agents_killed_lifetime")
         self.audit.record(
             domain_id, "agent.lifetime_limit", "", False,
             f"exceeded {self.resident_lifetime_limit}s residency",
         )
-        if self.recovery is not None and image is not None:
-            self.recovery.on_resident_gone(image, "terminated")
 
     def _update_name_service(self, image: AgentImage) -> None:
         token = image.attributes.get("ns_token")
@@ -480,14 +484,16 @@ class AgentServer:
             instance = self._materialize(image, domain)
         except ReproError as exc:
             self.stats.add("agents_failed_materialize")
-            self._retire(domain, "terminated", f"materialization failed: {exc}")
+            self._retire(
+                domain.domain_id, "terminated", f"materialization failed: {exc}"
+            )
             return
         self._instances[domain.domain_id] = instance
         entry = getattr(instance, image.entry_method, None)
         if entry is None or not callable(entry):
             self.stats.add("agents_failed")
             self._retire(
-                domain, "terminated",
+                domain.domain_id, "terminated",
                 f"agent has no entry method {image.entry_method!r}",
             )
             return
@@ -513,18 +519,23 @@ class AgentServer:
                     pending = lambda d=destination, r=reason: hook(d, r)  # noqa: E731
                     continue
                 self.stats.add("agents_terminated_transfer")
-                self._retire(domain, "terminated", f"transfer failed: {failure[1]}")
+                self._retire(
+                    domain.domain_id, "terminated",
+                    f"transfer failed: {failure[1]}",
+                )
                 return
             except Completion as completion:
                 self._handle_completion(image, domain, completion.result)
                 return
             except SecurityException as exc:
                 self.stats.add("agents_killed_security")
-                self._retire(domain, "terminated", f"security violation: {exc}")
+                self._retire(
+                    domain.domain_id, "terminated", f"security violation: {exc}"
+                )
                 return
             except Exception as exc:  # noqa: BLE001 - agent bugs stay contained
                 self.stats.add("agents_failed")
-                self._retire(domain, "terminated", f"agent error: {exc!r}")
+                self._retire(domain.domain_id, "terminated", f"agent error: {exc!r}")
                 return
             else:
                 # Falling off the end of the entry method is a completion.
@@ -571,14 +582,14 @@ class AgentServer:
         crash mid-transfer can be recovered (:meth:`restart`).
         """
         if not _obs.TRACING:
-            return self._depart(image, instance, domain, departure, None)
+            return self._depart(image, instance, domain, departure)
         with _obs.TRACER.span(
             "transfer.depart",
             agent=str(image.name),
             server=self.name,
             destination=departure.destination,
         ) as span:
-            failure = self._depart(image, instance, domain, departure, span)
+            failure = self._depart(image, instance, domain, departure)
             if failure is not None and span.status == "unset":
                 span.set_status("error", failure[1])
             return failure
@@ -589,64 +600,180 @@ class AgentServer:
         instance: Agent,
         domain: ProtectionDomain,
         departure: Departure,
-        span,
     ) -> "tuple[str, str] | None":
         destination = departure.destination
-        outgoing = image.with_hop(self.name).with_state(
-            instance.capture_state(), departure.method
-        )
-        if self.forward_restriction is not None:
-            restricted = outgoing.credentials.extend(
-                delegator=URN.parse(self.name),
-                delegator_keys=self.secure.keys,
-                delegator_certificate=self.secure.certificate,
-                restriction=self.forward_restriction,
-                now=self.clock.now(),
-            )
-            outgoing = dataclasses.replace(outgoing, credentials=restricted)
-        transfer_id = self._transfer_ids.next()
-        outgoing = outgoing.with_attributes(transfer_id=transfer_id)
-        if span is not None:
-            # Stamp the depart span's context into the image *before*
-            # journaling: crash-recovery re-offers replay the journaled
-            # image verbatim, and the remote residency must join this
-            # trace either way.
-            outgoing = outgoing.with_attributes(
-                trace_ctx=span.context.to_attributes()
-            )
-            span.set_attribute("transfer_id", transfer_id)
-        if self.integrity is not None:
-            # Seal the appraisal link *before* journaling, so crash
-            # recovery re-offers the identical sealed image (a journal
-            # replay must never append a second link for the same hop).
-            outgoing = self.integrity.seal_departure(outgoing, destination)
-        self._journal.record(
-            transfer_id, outgoing, destination, domain.domain_id, self.clock.now()
-        )
-        try:
-            reply = self._offer_image(outgoing, destination)
-        except CircuitOpenError as exc:
-            self._journal.resolve(transfer_id, "breaker-open")
-            self.stats.add("transfers_failed_breaker")
-            return destination, str(exc)
-        except ReproError as exc:
-            self._journal.resolve(transfer_id, "failed")
-            self.stats.add("transfers_failed_exhausted")
-            return destination, str(exc)
-        if reply.get("status") != "accepted":
-            self._journal.resolve(transfer_id, "refused")
-            self.stats.add("transfers_refused_remote")
-            return (
-                destination,
-                f"refused by {destination}: {reply.get('reason', '?')}",
-            )
-        self._journal.resolve(transfer_id, "accepted")
+        outgoing = image.with_state(instance.capture_state(), departure.method)
+        misses: list[tuple[str, str]] = []
+        if self.relocate(
+            outgoing, [destination], reason="depart",
+            journal=domain.domain_id,
+            on_miss=lambda _target, *miss: misses.append(miss),
+        ) is None:
+            [(verdict, detail)] = misses
+            self.stats.add(_DEPARTURE_MISS_COUNTERS[verdict])
+            if verdict == "refused":
+                detail = f"refused by {destination}: {detail}"
+            return destination, detail
         self.stats.add("transfers_out")
-        self._retire(domain, "departed", f"to {destination}")
+        self._retire(domain.domain_id, "departed", f"to {destination}")
         self._settle_bill(image, domain)
         return None
 
-    # -- the retrying offer primitive (departures + crash recovery) ------------
+    # ------------------------------------------------------------------
+    # Relocation: the one way an agent leaves for another server
+    # ------------------------------------------------------------------
+
+    def relocate(
+        self,
+        image: AgentImage,
+        candidates: Iterable[str],
+        *,
+        reason: str,
+        journal: str | None = None,
+        on_miss: "Callable[[str, str, str], None] | None" = None,
+    ) -> str | None:
+        """Offer ``image`` to each candidate in order; return the first
+        that accepted, or ``None``.  Must run in a simulated thread.
+
+        Departure, journal recovery, drain and re-homing are policies
+        over this: each picks the candidates and its own fallback.  The
+        offer is built by ``reason``.  ``"depart"``, ``"drain"``,
+        ``"rehome"`` (and any other reason) add a hop: this server joins
+        the trace and, per section 5.2, narrows the credentials by its
+        ``forward_restriction``; each candidate gets a freshly sealed
+        appraisal link.  ``"return-home"`` redirects a journaled
+        departure by resealing only this server's tip link.  Both are
+        new handoffs under a fresh transfer id.  ``"reoffer"`` replays a
+        journaled image verbatim, so an offer that landed before a crash
+        dedups.
+
+        With ``journal`` (the resident's domain id) each offer is
+        journaled before it leaves and resolved with its verdict.
+        ``on_miss(candidate, verdict, detail)`` hears each candidate that
+        did not accept: ``verdict`` is ``"refused"`` (``detail`` is the
+        receiver's reason), ``"breaker-open"`` or ``"failed"`` (retries
+        exhausted; ``detail`` is the error).
+        """
+        hop = reason not in ("return-home", "reoffer")
+        span = None
+        if hop:
+            image = image.with_hop(self.name)
+            if self.forward_restriction is not None:
+                restricted = image.credentials.extend(
+                    delegator=URN.parse(self.name),
+                    delegator_keys=self.secure.keys,
+                    delegator_certificate=self.secure.certificate,
+                    restriction=self.forward_restriction,
+                    now=self.clock.now(),
+                )
+                image = dataclasses.replace(image, credentials=restricted)
+            span = _obs.TRACER.current_span() if _obs.TRACING else None
+            if span is not None:
+                # The new hop joins the sending span's trace (stamped
+                # before journaling: a replay offers the image verbatim).
+                image = image.with_attributes(
+                    trace_ctx=span.context.to_attributes()
+                )
+        for target in candidates:
+            offer = image
+            if reason != "reoffer":
+                offer = offer.with_attributes(
+                    transfer_id=self._transfer_ids.next()
+                )
+                if span is not None:
+                    span.set_attribute("transfer_id", offer.transfer_id)
+                if self.integrity is not None:
+                    # Sealed before journaling, so a replay never appends
+                    # a second link for the same hop.
+                    offer = (
+                        self.integrity.seal_departure(offer, target)
+                        if hop
+                        else self.integrity.reseal_tip(offer, target)
+                    )
+            if journal is not None:
+                self._journal.record(
+                    offer.transfer_id, offer, target, journal, self.clock.now()
+                )
+            try:
+                reply = self._offer_image(offer, target)
+            except CircuitOpenError as exc:
+                verdict, detail = "breaker-open", str(exc)
+            except ReproError as exc:
+                verdict, detail = "failed", str(exc)
+            else:
+                if reply.get("status") == "accepted":
+                    if journal is not None:
+                        self._journal.resolve(offer.transfer_id, "accepted")
+                    return target
+                verdict, detail = "refused", str(reply.get("reason", "?"))
+            if journal is not None:
+                self._journal.resolve(offer.transfer_id, verdict)
+            if on_miss is not None:
+                on_miss(target, verdict, detail)
+        return None
+
+    def pick_targets(
+        self, image: AgentImage, exclude: Iterable[str] = ()
+    ) -> list[str]:
+        """Placement: the agent's planned stops, best candidate first.
+
+        Candidates come from the committed itinerary (any other choice
+        would be rejected by the home-side ``verify_return`` appraisal
+        when the tour ends), less this server and ``exclude``.  With a
+        failure detector, confirmed-dead and draining hosts are dropped
+        on the local membership view and the rest ordered by gossiped
+        load score; without one, every stop scores the same.  The name
+        is the deterministic tie-break.
+        """
+        commitment = image.attributes.get(COMMITMENT_ATTRIBUTE)
+        stops: set[str] = set()
+        if isinstance(commitment, ItineraryCommitment):
+            for stop in commitment.stops:
+                name = stop[0] if isinstance(stop, (tuple, list)) else stop
+                if isinstance(name, str):
+                    stops.add(name)
+        stops -= {self.name, *exclude}
+        membership = self.membership
+        if membership is None:
+            return sorted(stops)
+        return sorted(
+            (
+                name for name in stops
+                if membership.is_alive(name)
+                and not membership.is_draining(name)
+            ),
+            key=lambda name: (membership.load_of(name), name),
+        )
+
+    def directory_vetoes(self, agent: URN, *expected: str) -> bool:
+        """Does the directory place ``agent`` anywhere but ``expected``?
+
+        The recovery policies' veto against resurrecting a stale copy.
+        The directory is updated at every admission, so a registered
+        location outside ``expected`` proves a newer residency exists,
+        and an unregistered name means the agent finished or was
+        tombstoned.  An unreachable directory, or a record without a
+        location, is no veto (availability over precision; the
+        transfer-id dedup and finished-agent checks still hold).
+        """
+        if self.name_service is None:
+            return False
+        try:
+            entry = self.name_service.lookup(agent)
+        except UnknownNameError:
+            return True
+        except ReproError:
+            return False
+        location = getattr(entry, "location", None)
+        return location is not None and location not in expected
+
+    def _relaunch_here(self, image: AgentImage) -> str:
+        """The fallback when no candidate took the agent: admit and run
+        it on this server.  Raises if admission refuses it."""
+        self.admission.validate(image)
+        return self._start_resident(image)
+
+    # -- the retrying offer primitive under relocate() ---------------------------
 
     def _breaker_for(self, destination: str) -> CircuitBreaker:
         breaker = self._breakers.get(destination)
@@ -706,7 +833,7 @@ class AgentServer:
         self, image: AgentImage, domain: ProtectionDomain, result: Any
     ) -> None:
         self.stats.add("agents_completed")
-        self._retire(domain, "completed", "mission complete")
+        self._retire(domain.domain_id, "completed", "mission complete")
         # The completion report and the bill go to the same home site, so
         # they ride one sealed batch frame (one MAC, one sequence number)
         # instead of two secure sends.
@@ -753,26 +880,41 @@ class AgentServer:
         except ReproError:
             self.stats.add("reports_failed")
 
-    def _retire(self, domain: ProtectionDomain, status: str, detail: str) -> None:
+    def _retire(
+        self,
+        domain_id: str,
+        status: str,
+        detail: str = "",
+        *,
+        operation: str | None = "agent.retire",
+    ) -> None:
+        """Take a resident off this server's books: the one way out.
+
+        Every exit — departure, completion, termination (by its owner,
+        its creator, supervision or the lifetime limit), drain — ends
+        here.  ``operation`` names the audit record; ``None`` when the
+        caller audits the cause itself.
+        """
         with self.domain_db.privileged():
-            if domain.domain_id in self.domain_db:
-                self.domain_db.set_status(domain.domain_id, status)
+            if domain_id in self.domain_db:
+                self.domain_db.set_status(domain_id, status)
+                # A terminated or completed agent's capability tokens die
+                # with it (one holder-epoch bump reaches copies on every
+                # server).  A *departing* agent keeps its tokens —
+                # surviving migration is the point of carrying them.
+                if status != "departed":
+                    _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
         # Ephemeral self-registrations (mailboxes) die with the agent;
         # installed services (section 5.5) persist.
-        self.registry.remove_ephemeral_of(domain.domain_id)
-        # A terminated or completed agent's capability tokens die with it
-        # (one holder-epoch bump reaches copies on every server).  A
-        # *departing* agent keeps its tokens — surviving migration is the
-        # point of carrying them.
-        if status != "departed":
-            _revoke_holder_tokens(domain)
-        self.audit.record(domain.domain_id, "agent.retire", status, True, detail)
-        self._threads.pop(domain.domain_id, None)
-        image = self._resident_images.pop(domain.domain_id, None)
-        self._instances.pop(domain.domain_id, None)
+        self.registry.remove_ephemeral_of(domain_id)
+        if operation is not None:
+            self.audit.record(domain_id, operation, status, True, detail)
+        self._threads.pop(domain_id, None)
+        image = self._resident_images.pop(domain_id, None)
+        self._instances.pop(domain_id, None)
         self._occupancy.update(self.clock.now(), len(self._threads))
         if self.supervisor is not None:
-            self.supervisor.forget_domain(domain.domain_id)
+            self.supervisor.forget_domain(domain_id)
         if self.recovery is not None and image is not None:
             # Tell the home site to drop the escrow of a finished agent
             # (a departed one is superseded by the next host instead).
@@ -1085,19 +1227,7 @@ class AgentServer:
         for worker in group_threads:
             if worker is not thread and worker.is_alive:
                 worker.kill()
-        with self.domain_db.privileged():
-            if domain_id in self.domain_db:
-                self.domain_db.set_status(domain_id, "terminated")
-                _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
-        self.registry.remove_ephemeral_of(domain_id)
-        self._threads.pop(domain_id, None)
-        image = self._resident_images.pop(domain_id, None)
-        self._instances.pop(domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
-        if self.supervisor is not None:
-            self.supervisor.forget_domain(domain_id)
-        if self.recovery is not None and image is not None:
-            self.recovery.on_resident_gone(image, "terminated")
+        self._retire(domain_id, "terminated", operation=None)
         return True
 
     # ------------------------------------------------------------------
@@ -1215,60 +1345,34 @@ class AgentServer:
         ):
             self._recover(record)
 
-    def _recovery_superseded(self, record: DepartureRecord) -> bool:
-        """Directory veto for restart recovery: is this journal entry stale?
-
-        While this server was dead, the home site's escrow re-homing may
-        already have relaunched the journaled agent elsewhere (death is
-        confirmed faster than a long outage ends).  The directory is
-        updated at every admission, so a registered location that is
-        neither this server nor the journaled destination proves a newer
-        residency exists — re-offering would fork the agent.  An
-        unregistered name means the agent already finished or was
-        tombstoned: equally not ours to resurrect.  An unreachable
-        directory is no veto (availability over precision; the dedup
-        table still absorbs the same-destination case).
-        """
-        if self.name_service is None:
-            return False
-        try:
-            entry = self.name_service.lookup(record.image.name)
-        except UnknownNameError:
-            return True
-        except (NamingError, NetworkError, ReproError):
-            return False
-        location = getattr(entry, "location", None)
-        return location is not None and location not in (
-            self.name, record.destination,
-        )
-
     def _recover(self, record: DepartureRecord) -> None:
         self.stats.add("recoveries_attempted")
-        if self._recovery_superseded(record):
+        image = record.image
+        # While this server was dead, the home site's escrow re-homing
+        # may already have relaunched the agent elsewhere (death is
+        # confirmed faster than a long outage ends): re-offering would
+        # fork it.
+        if self.directory_vetoes(image.name, self.name, record.destination):
             self._journal.resolve(record.transfer_id, "recovered-superseded")
             self.stats.add("recoveries_superseded")
             self.audit.record(
-                self.name, "atp.recover", str(record.image.name), True,
+                self.name, "atp.recover", str(image.name), True,
                 "journal entry superseded: the agent was re-homed (or "
                 "finished) while this server was down",
             )
             return
-        try:
-            reply = self._offer_image(record.image, record.destination)
-        except ReproError:
-            reply = None
-        if reply is not None and reply.get("status") == "accepted":
+        if self.relocate(image, [record.destination], reason="reoffer"):
             self._journal.resolve(record.transfer_id, "recovered-delivered")
             self.stats.add("recoveries_delivered")
             with self.domain_db.privileged():
                 if record.domain_id in self.domain_db:
                     self.domain_db.set_status(record.domain_id, "departed")
             self.audit.record(
-                self.name, "atp.recover", str(record.image.name), True,
+                self.name, "atp.recover", str(image.name), True,
                 f"re-offered to {record.destination}",
             )
             return
-        image = record.image.with_attributes(returned_home=True)
+        image = image.with_attributes(returned_home=True)
         if image.home_site == self.name:
             self._journal.resolve(record.transfer_id, "recovered-home-local")
             self.stats.add("recoveries_returned_home")
@@ -1282,18 +1386,10 @@ class AgentServer:
                 # must now read self→self or the chain's hop-to-hop
                 # linkage breaks at the agent's *next* departure.
                 image = self.integrity.reseal_tip(image, self.name)
+            # This server's own journaled image: admitted here already.
             self._start_resident(image)
             return
-        home_image = image.with_attributes(transfer_id=self._transfer_ids.next())
-        if self.integrity is not None:
-            # A different hop than the journaled one: re-seal the tip
-            # link for the home site (same hop index, fresh timestamp).
-            home_image = self.integrity.reseal_tip(home_image, image.home_site)
-        try:
-            reply = self._offer_image(home_image, image.home_site)
-        except ReproError:
-            reply = None
-        if reply is not None and reply.get("status") == "accepted":
+        if self.relocate(image, [image.home_site], reason="return-home"):
             self._journal.resolve(record.transfer_id, "recovered-returned-home")
             self.stats.add("recoveries_returned_home")
             self.audit.record(
@@ -1324,13 +1420,14 @@ class AgentServer:
         blocks on transfers); the returned thread can be joined, or the
         kernel simply run until the world quiesces.
 
-        Residents are moved with the same load-aware placement scorer
+        Residents are moved with the same placement and relocation
         re-homing uses: each is stopped at its next blocking point, its
-        live state captured, and the sealed image offered to the least
-        loaded surviving planned stop.  A resident caught mid-departure
-        is finished via the journal (same transfer id — the dedup table
-        absorbs the duplicate); one nobody accepts is relaunched locally
-        and the drain for it reported failed.
+        live state captured, and the image relocated (new hop, forward
+        restriction, fresh seal) to the best surviving planned stop.  A
+        resident caught mid-departure is finished via the journal (same
+        transfer id — the dedup table absorbs the duplicate); one nobody
+        accepts is relaunched locally and the drain for it reported
+        failed.
         """
         self._draining = True
         if self.membership is not None:
@@ -1365,56 +1462,44 @@ class AgentServer:
             # journaled in-flight image exactly like crash recovery does
             # (same transfer id, so a landed pre-kill offer dedups).
             self.stats.add("agents_killed_drain")
-            self._drop_resident(
+            self._retire(
                 domain_id, "departed",
-                f"drained via journal to {record.destination}", revoke=False,
+                f"drained via journal to {record.destination}",
+                operation="agent.drain",
             )
             self._recover(record)
             return
         if image is None or instance is None:
             self.stats.add("agents_killed_drain")
-            self._drop_resident(
+            self._retire(
                 domain_id, "terminated", "drain: no image to migrate",
-                revoke=True,
+                operation="agent.drain",
             )
             return
         try:
             state = instance.capture_state()
         except ReproError:
             state = image.state
-        outgoing = image.with_hop(self.name).with_state(state, image.entry_method)
-        targets = (
-            self.recovery.pick_targets(outgoing, exclude=set())
-            if self.recovery is not None
-            else []
+        outgoing = image.with_state(state, image.entry_method)
+        target = self.relocate(
+            outgoing, self.pick_targets(outgoing), reason="drain"
         )
-        for target in targets:
-            offer = outgoing
-            if self.integrity is not None:
-                offer = self.integrity.seal_departure(offer, target)
-            offer = offer.with_attributes(
-                transfer_id=self._transfer_ids.next()
-            )
-            try:
-                reply = self._offer_image(offer, target)
-            except ReproError:
-                continue
-            if reply.get("status") != "accepted":
-                continue
+        if target is not None:
             # Accounting-wise an ordinary departure: hosted here once,
             # transferred out once, hosted again at the target.
             self.stats.add("transfers_out")
             self.stats.add("drained_out")
-            self._drop_resident(
-                domain_id, "departed", f"drained to {target}", revoke=False
+            self._retire(
+                domain_id, "departed", f"drained to {target}",
+                operation="agent.drain",
             )
             return
         # Nobody would take it: the agent stays, the drain failed for it.
         self.stats.add("agents_killed_drain")
         self.stats.add("drain_failed")
-        self._drop_resident(
+        self._retire(
             domain_id, "departed", "drain failed: relaunched locally",
-            revoke=False,
+            operation="agent.drain",
         )
         self.audit.record(
             domain_id, "server.drain", str(image.name), False,
@@ -1423,28 +1508,7 @@ class AgentServer:
         # Relaunch from the *admitted* image shape (no extra hop: the
         # appraisal chain must stay aligned with the trace for the
         # agent's eventual real departure), with the live state.
-        relaunch = image.with_state(state, image.entry_method)
-        self.admission.validate(relaunch)
-        self._start_resident(relaunch)
-
-    def _drop_resident(
-        self, domain_id: str, status: str, detail: str, *, revoke: bool
-    ) -> None:
-        """Inline retire bookkeeping for a resident whose thread the
-        server itself killed (drain paths — mirrors :meth:`_retire`)."""
-        with self.domain_db.privileged():
-            if domain_id in self.domain_db:
-                self.domain_db.set_status(domain_id, status)
-                if revoke:
-                    _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
-        self.registry.remove_ephemeral_of(domain_id)
-        self._threads.pop(domain_id, None)
-        self._instances.pop(domain_id, None)
-        self._resident_images.pop(domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
-        if self.supervisor is not None:
-            self.supervisor.forget_domain(domain_id)
-        self.audit.record(domain_id, "agent.drain", status, True, detail)
+        self._relaunch_here(outgoing)
 
     # ------------------------------------------------------------------
     # Operator reporting

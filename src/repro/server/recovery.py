@@ -17,14 +17,16 @@ escrow-at-home scheme:
   newest-wins in a :class:`~repro.server.journal.CheckpointStore`.
 * When the home site's failure detector confirms a peer dead, the
   :class:`RecoveryCoordinator` **re-homes** every agent checkpointed at
-  that peer: it picks a load-aware survivor (gossiped load score =
-  residents + in-flight departures + recovery queue depth) from the
-  agent's *committed itinerary* (plus the home site itself — always a
-  legal fallback, and the only choice `verify_return` accepts outside
-  the plan), appends its own hop to the escrow, seals the new tip, and
-  offers it through the ordinary exactly-once transfer path.  The
-  relaunched agent's own ``transfer_failed`` handling then routes it
-  around the dead stop.
+  that peer.  It is one policy over the server's single relocation
+  path: candidates are the load-aware survivors of the agent's
+  *committed itinerary* (``AgentServer.pick_targets``; gossiped load
+  score = residents + in-flight departures + recovery queue depth), and
+  ``AgentServer.relocate`` adds home's relay hop, its forward
+  restriction and a fresh appraisal seal to the escrow before each
+  exactly-once offer.  The fallback is the home site itself — always
+  legal, and the only choice `verify_return` accepts outside the plan.
+  The relaunched agent's own ``transfer_failed`` handling then routes
+  it around the dead stop.
 * A checkpoint is retired when its agent completes or is terminated
   (accepted only from the server the checkpoint places the agent at),
   and superseded by sequence number when the agent hops onward — a
@@ -53,8 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.agents.integrity import COMMITMENT_ATTRIBUTE
-from repro.agents.itinerary import ItineraryCommitment
 from repro.agents.transfer import AgentImage
 from repro.errors import (
     NamingError,
@@ -472,40 +472,56 @@ class RecoveryCoordinator:
             self.store.retire(agent)
             self.stats.add("rehomes_vetoed_finished")
             return
-        if not self._directory_confirms(checkpoint.image, dead):
+        if server.directory_vetoes(checkpoint.image.name, dead):
             self.stats.add("rehomes_vetoed_stale")
             return
         self.store.retire(agent)
         image = checkpoint.image
-        placed = self._place(image, dead, confirmed_at)
-        if placed:
-            return
-        # Every survivor refused or is unreachable: the agent runs here.
-        try:
-            server.admission.validate(image)
-            server.stats.add("agents_rehomed")
+        # Home becomes a relay hop: its own link in the chain lets the
+        # survivor's arrival appraisal pass (tip origin == sender).
+        target = server.relocate(
+            image.with_attributes(rehomed=True),
+            server.pick_targets(image, exclude=(dead,)),
+            reason="rehome",
+            on_miss=self._note_refused_offer,
+        )
+        if target is not None:
+            self.stats.add("rehome_offers")
+            self.stats.add("rehomes_placed")
+            detail = f"re-homed to {target} after {dead} died"
+        else:
+            # Every survivor refused or is unreachable: the agent runs here.
+            try:
+                server._relaunch_here(image)
+            except ReproError as exc:
+                self.stats.add("rehomes_stranded")
+                server.audit.record(
+                    server.name, "recovery.rehome", agent, False,
+                    f"unrecoverable after {dead} died: {exc}",
+                )
+                self._tombstone(image)
+                return
             self.stats.add("rehomes_local")
-            self.rehome_log.append(
-                {
-                    "agent": agent,
-                    "dead": dead,
-                    "target": server.name,
-                    "confirmed_at": confirmed_at,
-                    "relaunched_at": self.clock.now(),
-                }
-            )
-            server.audit.record(
-                server.name, "recovery.rehome", agent, True,
-                f"relaunched at home after {dead} died",
-            )
-            server._start_resident(image)
-        except ReproError as exc:
-            self.stats.add("rehomes_stranded")
-            server.audit.record(
-                server.name, "recovery.rehome", agent, False,
-                f"unrecoverable after {dead} died: {exc}",
-            )
-            self._tombstone(image)
+            target = server.name
+            detail = f"relaunched at home after {dead} died"
+        server.stats.add("agents_rehomed")
+        self.rehome_log.append(
+            {
+                "agent": agent,
+                "dead": dead,
+                "target": target,
+                "confirmed_at": confirmed_at,
+                "relaunched_at": self.clock.now(),
+            }
+        )
+        server.audit.record(server.name, "recovery.rehome", agent, True, detail)
+
+    def _note_refused_offer(self, _target: str, verdict: str, _detail: str) -> None:
+        self.stats.add("rehome_offers")
+        if verdict == "refused":
+            self.stats.add("rehome_offers_refused")
+        else:
+            self.stats.add("rehome_offers_failed")
 
     def _already_finished(self, agent: str) -> bool:
         """Has the home site already seen this agent finish?"""
@@ -524,105 +540,6 @@ class RecoveryCoordinator:
             report.get("agent") == agent and not is_bill(report.get("payload"))
             for report in server.reports
         )
-
-    def _directory_confirms(self, image: AgentImage, dead: str) -> bool:
-        """Best-effort directory veto: skip if the agent moved on.
-
-        The directory is updated at every admission *before* the escrow
-        push, so it is at least as fresh as any checkpoint — if it
-        places the agent anywhere but the dead host, a newer residency
-        exists and this checkpoint is stale.  An unreachable directory
-        is not a veto (availability over precision; the transfer-id
-        dedup and finished-agent checks still hold the line).
-        """
-        name_service = self.server.name_service
-        if name_service is None:
-            return True
-        try:
-            record = name_service.lookup(image.name)
-        except UnknownNameError:
-            # Unregistered: the owner reclaimed the name — do not raise
-            # the dead.
-            return False
-        except (NamingError, NetworkError, ReproError):
-            return True
-        location = getattr(record, "location", None)
-        return location is None or location == dead
-
-    def pick_targets(self, image: AgentImage, exclude: set[str]) -> list[str]:
-        """Load-aware placement: planned stops, best survivor first.
-
-        Candidates come from the committed itinerary (any other choice
-        would be rejected by the home-side ``verify_return`` appraisal
-        when the tour ends).  Confirmed-dead and draining hosts are
-        filtered on the local membership view; survivors are ordered by
-        the gossiped load score, name as the deterministic tie-break.
-        """
-        commitment = image.attributes.get(COMMITMENT_ATTRIBUTE)
-        stops: list[str] = []
-        if isinstance(commitment, ItineraryCommitment):
-            for stop in commitment.stops:
-                stop_server = stop[0] if isinstance(stop, (tuple, list)) else stop
-                if isinstance(stop_server, str) and stop_server not in stops:
-                    stops.append(stop_server)
-        membership = getattr(self.server, "membership", None)
-        candidates = []
-        for stop_server in stops:
-            if stop_server in exclude or stop_server == self.server.name:
-                continue
-            if membership is not None:
-                if not membership.is_alive(stop_server):
-                    continue
-                if membership.is_draining(stop_server):
-                    continue
-            candidates.append(stop_server)
-        load = membership.load_of if membership is not None else (lambda _n: 0.0)
-        return sorted(candidates, key=lambda name: (load(name), name))
-
-    def _place(
-        self, image: AgentImage, dead: str, confirmed_at: float
-    ) -> bool:
-        """Offer the escrow to survivors; True once somebody accepted."""
-        server = self.server
-        targets = self.pick_targets(image, exclude={dead})
-        if not targets:
-            return False
-        # Home becomes a relay hop: its own link in the chain lets the
-        # survivor's arrival appraisal pass (tip origin == sender).
-        relayed = image.with_hop(server.name)
-        for target in targets:
-            outgoing = relayed
-            if server.integrity is not None:
-                outgoing = server.integrity.seal_departure(outgoing, target)
-            outgoing = outgoing.with_attributes(
-                transfer_id=server._transfer_ids.next(), rehomed=True
-            )
-            self.stats.add("rehome_offers")
-            try:
-                reply = server._offer_image(outgoing, target)
-            except ReproError:
-                self.stats.add("rehome_offers_failed")
-                continue
-            if reply.get("status") != "accepted":
-                self.stats.add("rehome_offers_refused")
-                continue
-            server.stats.add("agents_rehomed")
-            self.stats.add("rehomes_placed")
-            self.rehome_log.append(
-                {
-                    "agent": str(image.name),
-                    "dead": dead,
-                    "target": target,
-                    "confirmed_at": confirmed_at,
-                    "relaunched_at": self.clock.now(),
-                }
-            )
-            server.audit.record(
-                server.name, "recovery.rehome", str(image.name), True,
-                f"re-homed to {target} after {dead} died",
-            )
-            return True
-        return False
 
     def _tombstone(self, image: AgentImage) -> None:
         """Reclaim the directory entry of an unrecoverable agent."""

@@ -41,11 +41,11 @@ class DrainTourist(ItineraryAgent):
         self.complete({"visited": self.visited})
 
 
-def bed_of(n=3, seed=61):
+def bed_of(n=3, seed=61, self_healing=True):
     return Testbed(
         n,
         seed=seed,
-        self_healing=True,
+        self_healing=self_healing,
         server_kwargs={
             "transfer_timeout": 5.0,
             "transfer_retry": RetryPolicy(
@@ -132,3 +132,48 @@ def test_drain_with_no_survivors_relaunches_locally():
     # The relaunched resident resumed its tour and completed here.
     assert home.stats["agents_completed"] == 1
     assert healed_conservation_residual(bed.servers)() == 0
+
+
+def test_drain_works_without_the_self_healing_plane():
+    # Placement needs no failure detector: the committed itinerary stops
+    # are the candidates, in name order.
+    bed = bed_of(self_healing=False)
+    s0, s1, s2 = bed.servers
+    assert s1.membership is None and s1.recovery is None
+    for _ in range(2):
+        bed.launch(tourist(s1.name, s2.name), Rights.all())
+    bed.kernel.schedule(2.0, s1.drain)
+    bed.run(until=300.0, detect_deadlock=False)
+    assert s1.stats["drained_out"] == 2
+    assert s1.stats["agents_killed_drain"] == 0
+    assert s1.stats["drain_failed"] == 0
+    assert sum(s.stats["agents_completed"] for s in bed.servers) == 2
+    assert healed_conservation_residual(bed.servers)() == 0
+
+
+def _delegation_at(server, agent_name):
+    [record] = server.domain_db.records_of(agent_name)
+    return [
+        (str(link.delegator), link.restriction)
+        for link in record.domain.credentials.links
+    ]
+
+
+def test_drain_applies_the_forward_restriction():
+    # Section 5.2 subcontracting holds on every route out: a drained
+    # agent arrives carrying the draining server's restriction link,
+    # exactly as an ordinary departure from that server would.
+    restriction = Rights.of("Buffer.get", "Buffer.size")
+    links = {}
+    for drained in (False, True):
+        bed = bed_of()
+        s0, s1, s2 = bed.servers
+        s1.forward_restriction = restriction
+        image = bed.launch(tourist(s1.name, s2.name), Rights.all())
+        if drained:
+            bed.kernel.schedule(2.0, s1.drain)
+        bed.run(until=300.0, detect_deadlock=False)
+        assert s1.stats["drained_out"] == int(drained)
+        assert sum(s.stats["agents_completed"] for s in bed.servers) == 1
+        links[drained] = _delegation_at(s2, image.name)
+    assert links[True] == links[False] == [(s1.name, restriction)]
