@@ -6,16 +6,15 @@ syntax; :class:`~repro.naming.registry.NameService` maps names to current
 locations (which server currently hosts an agent, where a resource lives),
 so itineraries can say "co-locate with X" without hard-coding hosts.
 
-Deployment shapes, smallest to largest: the in-process
-:class:`~repro.naming.registry.NameService`; one networked registry node
-(:class:`~repro.naming.remote.NameServiceHost` +
-:class:`~repro.naming.remote.RemoteNameService`); and the
-partition-tolerant replicated directory
-(:mod:`repro.naming.replicated`) — a consistent-hash ring of shards
-(:class:`~repro.naming.shard.HashRing`), quorum reads/writes, hinted
-handoff and anti-entropy repair, with
+Two deployment shapes: the in-process
+:class:`~repro.naming.registry.NameService`, and the networked quorum
+directory (:mod:`repro.naming.replicated`) — a consistent-hash ring of
+shards (:class:`~repro.naming.shard.HashRing`), quorum reads/writes,
+hinted handoff and anti-entropy repair, with
 :class:`~repro.naming.replicated.ReplicatedNameClient` as the
-failover-aware drop-in client.  See ``docs/naming.md``.
+failover-aware client.  One shard of one replica with quorums of one
+(N=1/W=1/R=1) is the paper's single registry server.  See
+``docs/naming.md``.
 """
 
 from repro.naming.urn import URN

@@ -1,9 +1,11 @@
 """Partition-tolerant replicated naming: quorum directory + repair.
 
 The paper's open federation (sections 5.2, 5.5) assumes agents can
-always answer "where is agent X / resource Y"; a single
-:class:`~repro.naming.remote.NameServiceHost` makes that answer hostage
-to one node's uptime.  This module replicates the directory:
+always answer "where is agent X / resource Y" by asking a registry
+server over the network.  This module is that networked directory; with
+one shard of one replica and quorums of one (N=1/W=1/R=1) it is exactly
+the paper's single registry node, whose answers are hostage to that
+node's uptime.  Larger shapes replicate it:
 
 * Names are assigned to shards by a :class:`~repro.naming.shard.HashRing`;
   each shard is served by N replica hosts (:class:`ReplicaNameHost`).
@@ -659,9 +661,9 @@ class ReplicaNameHost:
 class ReplicatedNameClient:
     """Client-driven failover over the replica groups.
 
-    Drop-in for :class:`~repro.naming.remote.RemoteNameService`: the
-    NameService interface, blocking operations requiring a simulated
-    thread, plus kernel-context ``relocate_async``.  Every operation
+    The :class:`~repro.naming.registry.NameService` interface with
+    blocking operations that require a simulated thread, plus the
+    kernel-context ``relocate_async``.  Every operation
     routes by ring position and gathers replies from the shard's
     replicas — retrying across rounds under ``retry`` with per-replica
     circuit breakers — until the required quorum answers.
@@ -771,16 +773,36 @@ class ReplicatedNameClient:
         name: URN,
         token: str,
         new_location: str,
-        on_fail: Callable[[], None] | None = None,
-        audit: Any | None = None,
+        on_fail: Callable[[], None],
+        audit: Any,
     ) -> None:
-        """Fire-and-forget relocation from kernel context."""
-        from repro.naming.remote import fire_and_forget_relocate
+        """Fire-and-forget relocation from kernel context.
 
-        fire_and_forget_relocate(
-            self, kernel, name, token, new_location,
-            on_fail=on_fail, audit=audit, stats=self.stats,
-        )
+        The arrival path runs in kernel context and must not block on the
+        network, so the update runs in a short-lived thread.  A relocation
+        that silently never lands would strand every later ``env.locate``
+        of the agent, so a failure (a) bumps ``relocate_failed`` on this
+        client, (b) increments the global ``ns_relocate_failed`` metric
+        when a metrics registry is installed, (c) writes an
+        ``ns.relocate_async`` record to the hosting server's ``audit``
+        log, and (d) only then invokes ``on_fail``.
+        """
+
+        def body() -> None:
+            try:
+                self.relocate(name, token, new_location)
+            except ReproError as exc:
+                self.stats.add("relocate_failed")
+                if _obs.METRICS_ON:
+                    _obs.METRICS.inc("ns_relocate_failed")
+                audit.record(
+                    str(name), "ns.relocate_async", new_location, False,
+                    f"lost relocation to {new_location}: "
+                    f"{type(exc).__name__}: {exc}",
+                )
+                on_fail()
+
+        SimThread(kernel, body, f"ns-relocate:{name.local}").start()
 
     # -- operation bodies ----------------------------------------------------
 

@@ -432,8 +432,8 @@ class AgentServer:
         if self.name_service is None or not token:
             return
         if hasattr(self.name_service, "relocate_async"):
-            # A remote registry: update over the network without blocking
-            # the (kernel-context) arrival path.
+            # A networked directory: update over the network without
+            # blocking the (kernel-context) arrival path.
             self.name_service.relocate_async(
                 self.kernel, image.name, token, self.name,
                 on_fail=lambda: self.stats.add("ns_relocate_failed"),

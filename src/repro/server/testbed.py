@@ -36,6 +36,10 @@ from repro.util.rng import make_rng
 
 __all__ = ["Testbed"]
 
+# RSA modulus for every identity the testbed mints (owner, servers,
+# directory replicas): small enough to keep simulated worlds fast.
+KEY_BITS = 512
+
 
 class Testbed:
     """A ready-to-run mobile-agent world."""
@@ -51,10 +55,8 @@ class Testbed:
         latency: float = 0.005,
         bandwidth: float = 1e7,
         loss_rate: float = 0.0,
-        key_bits: int = 512,
         authority: str = "site{i}.net",
         server_kwargs: dict[str, Any] | None = None,
-        remote_name_service: bool = False,
         replicated_name_service: bool = False,
         ns_shards: int = 2,
         ns_replicas: int = 3,
@@ -69,31 +71,22 @@ class Testbed:
         supervision: Any | None = None,
         self_healing: bool = False,
         membership_config: Any | None = None,
-        recovery_config: Any | None = None,
     ) -> None:
         if n_servers < 1:
             raise ValueError("need at least one server")
-        if remote_name_service and replicated_name_service:
-            raise ValueError(
-                "remote_name_service and replicated_name_service are "
-                "alternative registry deployments; pick one"
-            )
         self.seed = seed
         self.kernel = Kernel()
         self.clock = self.kernel.clock
         self.network = Network(self.kernel, seed=seed)
-        # The authoritative registry.  With remote_name_service=True it is
-        # additionally exported as a network service (Ajanta's registry is
-        # a server of its own) and agent servers hold client stubs.  With
-        # replicated_name_service=True the registry is instead a sharded
-        # replica-group directory (repro.naming.replicated): servers hold
-        # quorum clients, and self.name_service becomes the DirectoryOracle
-        # (kernel-context bootstrap writes + the conservation oracle).
+        # The registry.  By default it is one in-process NameService every
+        # server shares.  With replicated_name_service=True it is a network
+        # directory of its own (repro.naming.replicated): ns_shards shards of
+        # ns_replicas replica nodes each, servers hold quorum clients, and
+        # self.name_service becomes the DirectoryOracle (kernel-context
+        # bootstrap writes + the conservation oracle).  Ajanta's single
+        # registry server is the ns_shards=1, ns_replicas=1, W=R=1 case.
         self.name_service: Any = NameService()
-        self._remote_ns = remote_name_service
         self._replicated_ns = replicated_name_service
-        self.registry_node: str | None = None
-        self._registry_secure = None
         self.ns_ring = None
         self.ns_hosts: dict[str, Any] = {}
         self._ns_quorums = (ns_write_quorum, ns_read_quorum)
@@ -108,7 +101,6 @@ class Testbed:
         self.servers: list[AgentServer] = []
         self._agent_ids = IdGenerator("agent")
         self._faults = None
-        self._key_bits = key_bits
         self._server_kwargs = dict(server_kwargs or {})
         # Whole-world runs should not grow audit logs without bound; short
         # tests never come near this, and callers can override (None =
@@ -120,24 +112,19 @@ class Testbed:
             self._server_kwargs.setdefault("supervision", supervision)
         # Self-healing control plane: heartbeat failure detection plus
         # checkpoint/re-homing on every server.  ``self_healing=True``
-        # takes the defaults; either config can also be passed alone.
-        self._self_healing = bool(
-            self_healing
-            or membership_config is not None
-            or recovery_config is not None
-        )
-        if self_healing or membership_config is not None:
+        # takes the defaults (server_kwargs["recovery"] overrides the
+        # RecoveryConfig); a MembershipConfig alone arms detection only.
+        self._self_healing = bool(self_healing or membership_config is not None)
+        if self._self_healing:
             from repro.server.membership import MembershipConfig
 
             self._server_kwargs.setdefault(
                 "membership", membership_config or MembershipConfig()
             )
-        if self_healing or recovery_config is not None:
+        if self_healing:
             from repro.server.recovery import RecoveryConfig
 
-            self._server_kwargs.setdefault(
-                "recovery", recovery_config or RecoveryConfig()
-            )
+            self._server_kwargs.setdefault("recovery", RecoveryConfig())
         # One metrics namespace over every server's ad-hoc counters
         # (registered lazily — reading happens at scrape time only).
         self.metrics = MetricsRegistry()
@@ -147,13 +134,11 @@ class Testbed:
 
         # Owner identity: the human whose agents these are.
         self.owner = URN.parse("urn:principal:umn.edu/owner")
-        self.owner_keys = KeyPair.generate(make_rng(seed, "owner"), bits=key_bits)
+        self.owner_keys = KeyPair.generate(make_rng(seed, "owner"), bits=KEY_BITS)
         self.owner_certificate = self.ca.issue(str(self.owner), self.owner_keys.public)
 
-        if remote_name_service:
-            self._start_registry_node(key_bits)
         if replicated_name_service:
-            self._start_replica_nodes(key_bits)
+            self._start_replica_nodes()
         for i in range(n_servers):
             self.add_server(
                 f"urn:server:{authority.format(i=i)}/s{i}"
@@ -171,11 +156,6 @@ class Testbed:
                 server.membership.start()
             if server.recovery is not None:
                 server.recovery.start()
-        if remote_name_service:
-            # The registry node hangs off every server directly.
-            for server in self.servers:
-                self.network.connect(self.registry_node, server.name,
-                                     latency=latency, bandwidth=bandwidth)
         if replicated_name_service:
             # Every replica hangs off every server (clients talk to any
             # replica directly), and same-shard replicas interconnect
@@ -196,14 +176,14 @@ class Testbed:
 
     # -- construction -------------------------------------------------------------
 
-    def _secure_node(self, name: str, key_bits: int):
-        """A bare secure host on a fresh network node (registry plumbing)."""
+    def _secure_node(self, name: str):
+        """A bare secure host on a fresh network node (directory replicas)."""
         from repro.net.secure_channel import SecureHost
         from repro.net.transport import Endpoint
 
         self.network.add_node(name)
         keys = KeyPair.generate(make_rng(self.seed, f"server:{name}"),
-                                bits=key_bits)
+                                bits=KEY_BITS)
         return SecureHost(
             endpoint=Endpoint(self.network, name),
             name=name,
@@ -214,16 +194,7 @@ class Testbed:
             rng=make_rng(self.seed, f"rng:{name}"),
         )
 
-    def _start_registry_node(self, key_bits: int) -> None:
-        from repro.naming.remote import NameServiceHost
-
-        name = "urn:server:registry.net/ns"
-        secure = self._secure_node(name, key_bits)
-        NameServiceHost(secure, self.name_service)
-        self.registry_node = name
-        self._registry_secure = secure
-
-    def _start_replica_nodes(self, key_bits: int) -> None:
+    def _start_replica_nodes(self) -> None:
         from repro.naming.replicated import DirectoryOracle, ReplicaNameHost
         from repro.naming.shard import HashRing
 
@@ -238,7 +209,7 @@ class Testbed:
         for shard_id, nodes in shards.items():
             for node in nodes:
                 host = ReplicaNameHost(
-                    self._secure_node(node, key_bits), self.ns_ring, shard_id,
+                    self._secure_node(node), self.ns_ring, shard_id,
                     timeout=self._ns_timeout,
                 )
                 self.ns_hosts[node] = host
@@ -262,7 +233,7 @@ class Testbed:
         self.network.add_node(name)
         if keys is None:
             keys = KeyPair.generate(make_rng(self.seed, f"server:{name}"),
-                                    bits=self._key_bits)
+                                    bits=KEY_BITS)
         server = AgentServer(
             name=name,
             kernel=self.kernel,
@@ -274,12 +245,6 @@ class Testbed:
             name_service=self.name_service,
             **self._server_kwargs,
         )
-        if self._remote_ns:
-            from repro.naming.remote import RemoteNameService
-
-            server.name_service = RemoteNameService(
-                server.secure, self.registry_node
-            )
         if self._replicated_ns:
             from repro.naming.replicated import ReplicatedNameClient
 

@@ -6,15 +6,21 @@ must hold for any seed, not a golden trace.  The conservation oracle is
 :class:`~repro.naming.replicated.DirectoryOracle`: every successfully
 committed registration must be resolvable somewhere after the fault
 window heals and anti-entropy has run, and the replica groups must
-converge (no divergences).
+converge (no divergences).  The last section runs the single-registry
+shape (one shard, one replica, quorums of one) through the loss of the
+registry node or of its links.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.agents.agent import Agent, register_trusted_agent_class
+from repro.credentials.rights import Rights
 from repro.errors import NetworkError, ReproError
+from repro.naming.replicated import ReplicatedNameClient
 from repro.naming.urn import URN
+from repro.obs import runtime as _obs
 from repro.sim.threads import SimThread
 
 
@@ -203,3 +209,164 @@ def test_loss_burst_degrades_to_hints_then_repairs(world):
     assert failed == []
     assert len(committed) == 12
     assert_conserved(w, committed)
+
+
+# -- the single registry node ------------------------------------------------
+#
+# The paper's one registry server is the directory with one shard of one
+# replica and quorums of one (N=1/W=1/R=1).  Losing that node, or some of
+# its links, is the failure path every arrival-time relocation takes in a
+# single-registry world.
+
+
+@register_trusted_agent_class
+class RegistryHopper(Agent):
+    """Moves to ``dest`` once, then stays resident long enough to observe."""
+
+    def __init__(self) -> None:
+        self.dest = ""
+
+    def run(self):
+        if self.dest and self.host.server_name() != self.dest:
+            dest, self.dest = self.dest, ""
+            self.go(dest, "run")
+        self.host.sleep(5.0)
+        self.complete()
+
+
+@register_trusted_agent_class
+class RegistryLocator(Agent):
+    """Asks the directory, from inside the world, where ``target`` is."""
+
+    def __init__(self) -> None:
+        self.target = ""
+
+    def run(self):
+        self.host.sleep(1.0)  # let the mover finish moving
+        self.host.report_home({"located": self.host.locate(self.target)})
+        self.complete()
+
+
+def single_registry(world, **kw):
+    """A two-server world around one registry node (N=1/W=1/R=1)."""
+    return world(2, ns_shards=1, ns_replicas=1, ns_write_quorum=1,
+                 ns_read_quorum=1, **kw)
+
+
+def cut_registry(w, servers):
+    """Take down the links between ``servers`` and the registry node."""
+    (node,) = w.ns_ring.nodes()
+    for server in servers:
+        w.network.set_link_state(server.name, node, False)
+
+
+def launch_mover(w, local):
+    mover = RegistryHopper()
+    mover.dest = w.servers[1].name
+    return w.launch(mover, Rights.all(), agent_local=local)
+
+
+def test_single_registry_is_one_replica_node(world):
+    w = single_registry(world)
+    (node,) = w.ns_ring.nodes()
+    assert len(w.ns_ring) == 1 and list(w.ns_hosts) == [node]
+    for server in w.servers:
+        client = server.name_service
+        assert isinstance(client, ReplicatedNameClient)
+        assert (client.write_quorum, client.read_quorum) == (1, 1)
+
+
+def test_single_registry_roundtrip_crosses_the_wire(world):
+    w = single_registry(world)
+    (node,) = w.ns_ring.nodes()
+    client = w.home.name_service
+    results = {}
+
+    def driver():
+        name = URN.parse("urn:agent:x.net/probe")
+        token = client.register(name, w.home.name, {"k": 1})
+        results["contains"] = client.contains(name)
+        record = client.lookup(name)
+        results["record"] = (str(record.name), record.location,
+                             record.attributes)
+        client.relocate(name, token, w.servers[1].name)
+        results["moved"] = client.lookup(name).location
+        client.unregister(name, token)
+        results["after"] = client.contains(name)
+
+    SimThread(w.kernel, driver, "driver").start()
+    w.run()
+    assert results["contains"] is True
+    assert results["record"] == ("urn:agent:x.net/probe", w.home.name,
+                                 {"k": 1})
+    assert results["moved"] == w.servers[1].name
+    assert results["after"] is False
+    # The operations really crossed the wire to the registry node.
+    assert w.network.link(w.home.name, node).stats["bytes"] > 0
+
+
+def test_single_registry_migration_is_visible_to_locate(world):
+    w = single_registry(world)
+    image = launch_mover(w, "mover")
+    locator = RegistryLocator()
+    locator.target = str(image.name)
+    w.launch(locator, Rights.all(), agent_local="locator")
+    w.run()
+    # The registry saw the relocation...
+    assert w.locate(image.name) == w.servers[1].name
+    # ...and an agent observed it through its server's directory client.
+    located = [r["payload"]["located"] for r in w.home.reports
+               if "located" in r.get("payload", {})]
+    assert w.servers[1].name in located
+
+
+def test_single_registry_lost_relocation_is_counted_and_audited(world):
+    """A lost relocation is diagnosable: the client's and the server's
+    stats, the metrics registry and the audit log all record it."""
+    w = single_registry(world, server_kwargs={"transfer_timeout": 5.0})
+    w.start_metrics()
+    try:
+        cut_registry(w, w.servers)
+        image = launch_mover(w, "mover4")
+        w.run(detect_deadlock=False)
+    finally:
+        _obs.uninstall()
+    assert w.servers[1].name_service.stats["relocate_failed"] == 1
+    assert w.servers[1].stats["ns_relocate_failed"] == 1
+    # The home launch and the arrival relocation both failed.
+    assert w.metrics.scrape()["ns_relocate_failed"] == 2
+    audited = [
+        rec for rec in w.servers[1].audit
+        if rec.operation == "ns.relocate_async"
+    ]
+    assert len(audited) == 1
+    assert audited[0].allowed is False
+    assert str(image.name) == audited[0].domain
+    assert w.servers[1].name in audited[0].target
+
+
+def test_single_registry_cut_link_reroutes_the_relocation(world):
+    """Cutting one registry link is survivable: traffic reroutes."""
+    w = single_registry(world, server_kwargs={"transfer_timeout": 10.0})
+    cut_registry(w, [w.servers[1]])
+    image = launch_mover(w, "mover2")
+    w.run(detect_deadlock=False)
+    assert w.servers[1].resident_status(image.name)["status"] == "completed"
+    # The relocation went through server 0's link instead.
+    assert w.servers[1].stats["ns_relocate_failed"] == 0
+    assert w.locate(image.name) == w.servers[1].name
+
+
+def test_single_registry_loss_does_not_break_hosting(world):
+    """With the registry fully unreachable, hosting continues; only the
+    location record goes stale (and the failures are counted)."""
+    w = single_registry(world, server_kwargs={"transfer_timeout": 5.0})
+    cut_registry(w, w.servers)
+    image = launch_mover(w, "mover3")
+    w.run(detect_deadlock=False)
+    assert w.servers[1].resident_status(image.name)["status"] == "completed"
+    # Both the launch-time and arrival-time relocations failed.
+    assert w.home.stats["ns_relocate_failed"] == 1
+    assert w.servers[1].stats["ns_relocate_failed"] == 1
+    # The registry still shows the stale (home) location.
+    assert w.locate(image.name) == w.home.name

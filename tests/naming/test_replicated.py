@@ -14,10 +14,12 @@ from repro.errors import (
     UnknownNameError,
 )
 from repro.naming.replicated import (
+    _ERROR_KINDS,
     SHARD_APP_KIND,
     ReplicatedNameClient,
     ShardStore,
     VersionedRecord,
+    _raise_reply_error,
 )
 from repro.naming.shard import stable_hash
 from repro.naming.urn import URN
@@ -184,11 +186,6 @@ def test_testbed_builds_the_replica_topology():
         bed.ns_host("urn:server:registry.net/nope")
 
 
-def test_remote_and_replicated_modes_are_exclusive():
-    with pytest.raises(ValueError):
-        Testbed(1, remote_name_service=True, replicated_name_service=True)
-
-
 def test_client_quorum_validation():
     bed = make_bed()
     with pytest.raises(NamingError, match="majority"):
@@ -318,6 +315,34 @@ def test_shard_ops_reject_misdirected_and_unauthorized_requests():
     assert "restricted to ring peers" in outcomes["repair"]["error"]
     assert "unknown shard op" in outcomes["unknown_op"]["error"]
     assert all(reply["kind"] == "naming" for reply in outcomes.values())
+
+
+def test_error_kind_table_covers_every_kind():
+    """Each wire kind maps back to its client-side exception, and an
+    unknown op sent to a replica surfaces as exactly NamingError."""
+    assert _ERROR_KINDS == {
+        "unknown": UnknownNameError,
+        "duplicate": DuplicateNameError,
+        "naming": NamingError,
+    }
+    bed = make_bed()
+    node = bed.ns_ring.nodes()[0]
+    outcomes = {}
+
+    def body():
+        channel = bed.home.secure.connect(node, timeout=2.0)
+        reply = decode(channel.call(
+            SHARD_APP_KIND, encode({"op": "frobnicate"}), timeout=2.0
+        ))
+        try:
+            _raise_reply_error(reply)
+        except NamingError as exc:
+            outcomes["unknown_op"] = (type(exc), str(exc))
+
+    drive(bed, body)
+    kind, message = outcomes["unknown_op"]
+    assert kind is NamingError  # exactly, not a subclass
+    assert "frobnicate" in message
 
 
 # -- failover ----------------------------------------------------------------

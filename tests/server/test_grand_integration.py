@@ -59,7 +59,9 @@ class GrandShopper(ItineraryAgent):
 
 
 def build_world():
-    bed = Testbed(4, remote_name_service=True, authority="mkt{i}.org",
+    bed = Testbed(4, replicated_name_service=True, ns_shards=1,
+                  ns_replicas=1, ns_write_quorum=1, ns_read_quorum=1,
+                  authority="mkt{i}.org",
                   server_kwargs={"transfer_timeout": 10.0})
     groups = GroupDirectory()
     groups.add_group(Group(BUYERS, {bed.owner}))

@@ -7,6 +7,7 @@ one of them against the live package so a rename breaks CI, not a reader.
 from __future__ import annotations
 
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -93,3 +94,19 @@ def test_design_bench_targets_exist():
     design = (ROOT / "DESIGN.md").read_text()
     for match in re.finditer(r"benchmarks/(bench_[a-z0-9_]+\.py)", design):
         assert (ROOT / "benchmarks" / match.group(1)).is_file(), match.group(0)
+
+
+def test_api_testbed_row_matches_the_signature():
+    """The ``Testbed(...)`` row in docs/api.md lists every constructor
+    parameter, and nothing the constructor no longer takes."""
+    from repro.server.testbed import Testbed
+
+    api = (ROOT / "docs" / "api.md").read_text()
+    match = re.search(r"^\| `Testbed\((n_servers[^`]*)\)` \|", api, re.M)
+    assert match, "docs/api.md has no Testbed(n_servers, ...) row"
+    documented = [arg.split("=")[0].strip() for arg in match.group(1).split(",")]
+    actual = [
+        name for name in inspect.signature(Testbed.__init__).parameters
+        if name != "self"
+    ]
+    assert sorted(documented) == sorted(actual)
