@@ -1,10 +1,10 @@
 """Federated metrics: per-host telemetry units and the cluster collector.
 
-PR 3's :class:`~repro.obs.metrics.MetricsRegistry` sees one process —
-the testbed registers every server's counters into a single omniscient
-registry.  A federation of thousands of servers has no such registry:
-each host only knows its own numbers.  This module closes the gap the
-way Prometheus federation does:
+The testbed's :class:`~repro.obs.metrics.MetricsRegistry` sees one
+process: it folds every host's registry into a single omniscient view.
+A federation of thousands of servers has no such view: each host only
+knows its own numbers.  This module closes the gap the way Prometheus
+federation does:
 
 * every host owns a :class:`TelemetryUnit` — a local registry plus the
   host's identifying labels — and serves *cumulative* snapshots of it
@@ -183,13 +183,14 @@ def snapshot_delta(old: MetricSnapshot, new: MetricSnapshot) -> dict[str, Any]:
 class TelemetryUnit:
     """One host's local metrics namespace, served over the secure channel.
 
-    The federated twin of the testbed's omniscient registry: the same
-    lazy ``register_source`` absorption (zero per-increment cost on the
-    owning hot paths), but scoped to one host and stamped with that
-    host's identifying labels (``server=``, or ``node=``/``shard=`` for
-    directory replicas).  ``bind`` installs the ``telemetry.scrape``
-    responder; serving a scrape is a read-only flatten, safe to run in
-    the secure host's dispatch context.
+    The one place a host's counters are registered: lazy
+    ``register_source`` absorption (zero per-increment cost on the
+    owning hot paths), scoped to one host and stamped with that host's
+    identifying labels (``server=``, or ``node=``/``shard=`` for
+    directory replicas).  The testbed's omniscient view folds this
+    ``registry``; a collector pulls it.  ``bind`` installs the
+    ``telemetry.scrape`` responder; serving a scrape is a read-only
+    flatten, safe to run in the secure host's dispatch context.
     """
 
     def __init__(self, origin: str, clock: Any, **labels: Any) -> None:
@@ -344,11 +345,10 @@ class TelemetryCollector:
             seen = last.get(name, 0)
             delta = value - seen if value >= seen else value
             last[name] = value
-            # Materialize the cell even at delta 0 so a federated scrape
+            # Materialize the key even at delta 0 so a federated scrape
             # carries the same (possibly zero-valued) keys as an
             # omniscient one.
-            cell = self.cluster.counter(name)
-            cell.value += delta
+            self.cluster.inc(name, delta)
         for name, value in snapshot.gauges.items():
             self.cluster.gauge(name).set(value)
         last_hists = self._last_hist_counts.setdefault(key, {})

@@ -1,17 +1,19 @@
-"""A process-wide, labeled metrics namespace.
+"""A labeled metrics namespace: one registry type for hosts and worlds.
 
-The repo accumulated ad-hoc :class:`repro.sim.monitor.Counter` objects —
-``AgentServer.stats``, transport ``call_timeouts``/``replies_duplicate``,
-secure-channel rejection tallies, fault-injector counts — each living on
-its own object with its own names.  :class:`MetricsRegistry` pulls them
-behind one namespace without touching their hot paths: a registered
-*source* is read lazily at :meth:`scrape` time (zero per-increment cost),
-while first-class counters, gauges and histograms are for new
-instrumentation (proxy invocation latency, deny counts).
+Components count with :class:`repro.sim.monitor.Counter` (``stats``
+on an ``AgentServer``, transport, secure channel, fault injector, ...),
+the one counter type in the package.  :class:`MetricsRegistry` pulls
+them behind one namespace without touching their hot paths: a
+registered *source* is read lazily at :meth:`~MetricsRegistry.flatten`
+time (zero per-increment cost).  Its own labelled counters, gauges and
+histograms are for instrumentation with no owning object (proxy
+invocation latency, deny counts).  A registry can also fold other
+registries at read time (:meth:`~MetricsRegistry.include`): the
+testbed's world view is every host's telemetry registry plus its own.
 
 Naming follows Prometheus conventions loosely: a metric is
 ``name{label=value,...}`` with labels sorted, e.g.
-``server_stats.transfers_out{server=urn:server:site1.net/s1}``.
+``server.transfers_out{server=urn:server:site1.net/s1}``.
 
 Histograms use **fixed log-spaced buckets** (powers of two by default) so
 ``observe`` is a bisect into a static tuple — allocation-free, in the
@@ -23,9 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "render_scrape",
-]
+__all__ = ["Gauge", "Histogram", "MetricsRegistry", "render_scrape"]
 
 
 def _label_suffix(labels: Mapping[str, Any]) -> str:
@@ -33,20 +33,6 @@ def _label_suffix(labels: Mapping[str, Any]) -> str:
         return ""
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return "{" + inner + "}"
-
-
-class Counter:
-    """A monotonically increasing count (one registry cell)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
 
 
 class Gauge:
@@ -194,31 +180,29 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges, histograms and absorbed legacy sources.
+    """Labelled counters, gauges, histograms, sources and folded registries.
 
-    One registry per world (the :class:`~repro.server.testbed.Testbed`
-    builds one); ``scrape()`` flattens everything into a single dict —
-    the text renderer is what benchmarks print.
+    Each host's :class:`~repro.obs.aggregate.TelemetryUnit` owns one;
+    the :class:`~repro.server.testbed.Testbed` owns another that folds
+    them all.  :meth:`flatten` is the one read walk, and :meth:`scrape`
+    and the federated snapshots are both built on it.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
+        self._counters: dict[str, int] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         # (prefix, labels suffix) -> object with as_dict()
         self._sources: list[tuple[str, str, Any]] = []
+        self._included: list[MetricsRegistry] = []
 
     # -- first-class instruments ------------------------------------------
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        key = name + _label_suffix(labels)
-        cell = self._counters.get(key)
-        if cell is None:
-            cell = self._counters[key] = Counter()
-        return cell
-
     def inc(self, name: str, amount: int = 1, **labels: Any) -> None:
-        self.counter(name, **labels).inc(amount)
+        if amount < 0:
+            raise ValueError("counters only increase")
+        key = name + _label_suffix(labels)
+        self._counters[key] = self._counters.get(key, 0) + amount
 
     def gauge(self, name: str, fn: Callable[[], float] | None = None,
               **labels: Any) -> Gauge:
@@ -236,35 +220,54 @@ class MetricsRegistry:
             cell = self._histograms[key] = Histogram(bounds)
         return cell
 
-    # -- absorbing legacy per-object counters ------------------------------
+    # -- absorbing per-object counters and other registries ----------------
 
     def register_source(self, prefix: str, source: Any, **labels: Any) -> None:
-        """Alias an existing stats object into this namespace.
+        """Read an existing stats object under ``prefix.``.
 
         ``source`` is anything with ``as_dict() -> dict[str, number]``
         (:class:`repro.sim.monitor.Counter` included).  Nothing is copied
-        now: the source is read when scraped, so the owning hot paths are
-        untouched.
+        now: the source is read when flattened, so the owning hot paths
+        are untouched.
         """
         if not hasattr(source, "as_dict"):
             raise TypeError(f"metrics source {source!r} has no as_dict()")
         self._sources.append((prefix, _label_suffix(labels), source))
 
-    # -- snapshot support (repro.obs.aggregate) ----------------------------
+    def include(self, registry: "MetricsRegistry") -> None:
+        """Fold ``registry`` into every read of this one (nothing copied)."""
+        self._included.append(registry)
+
+    # -- the one read walk -------------------------------------------------
 
     def flatten(
         self,
     ) -> tuple[dict[str, int | float], dict[str, float], dict[str, Histogram]]:
-        """``(counters, gauges, histogram cells)`` with sources folded in.
+        """``(counters, gauges, histogram cells)``, sources and included
+        registries folded in.
 
-        Registered legacy sources are counters by construction
+        Source values are counters by construction
         (:class:`repro.sim.monitor.Counter`); a non-numeric source value
         is skipped, a float source value lands with the gauges.  The
         histogram dict holds the *live* cells — snapshot them via
         :meth:`Histogram.state` before letting go of the registry.
+        Folded registries are host units whose labels keep their keys
+        disjoint.
         """
         counters: dict[str, int | float] = {}
         gauges: dict[str, float] = {}
+        cells: dict[str, Histogram] = {}
+        self._fold_into(counters, gauges, cells)
+        return counters, gauges, cells
+
+    def _fold_into(
+        self,
+        counters: dict[str, int | float],
+        gauges: dict[str, float],
+        cells: dict[str, Histogram],
+    ) -> None:
+        for registry in self._included:
+            registry._fold_into(counters, gauges, cells)
         for prefix, suffix, source in self._sources:
             for name, value in source.as_dict().items():
                 key = f"{prefix}.{name}{suffix}"
@@ -276,25 +279,19 @@ class MetricsRegistry:
                     gauges[key] = value
                 else:
                     counters[key] = counters.get(key, 0) + value
-        for key, counter in self._counters.items():
-            counters[key] = counters.get(key, 0) + counter.value
+        for key, value in self._counters.items():
+            counters[key] = counters.get(key, 0) + value
         for key, gauge in self._gauges.items():
             gauges[key] = gauge.value
-        return counters, gauges, dict(self._histograms)
+        cells.update(self._histograms)
 
     # -- output ------------------------------------------------------------
 
     def scrape(self) -> dict[str, Any]:
         """Everything, flattened: ``{"name{labels}": value-or-summary}``."""
-        out: dict[str, Any] = {}
-        for prefix, suffix, source in self._sources:
-            for name, value in source.as_dict().items():
-                out[f"{prefix}.{name}{suffix}"] = value
-        for key, counter in self._counters.items():
-            out[key] = counter.value
-        for key, gauge in self._gauges.items():
-            out[key] = gauge.value
-        for key, hist in self._histograms.items():
+        counters, gauges, cells = self.flatten()
+        out: dict[str, Any] = {**counters, **gauges}
+        for key, hist in cells.items():
             out[key] = hist.summary()
         return out
 

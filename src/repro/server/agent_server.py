@@ -104,7 +104,8 @@ def _revoke_holder_tokens(domain: ProtectionDomain) -> None:
         default_epoch_registry().bump_holder(str(domain.credentials.agent))
 
 
-# The sender counter for each way a resident's own departure can miss.
+# The sender counter for each way a resident's own departure can miss;
+# the two failure causes also count in ``transfers_failed``.
 _DEPARTURE_MISS_COUNTERS = {
     "breaker-open": "transfers_failed_breaker",
     "failed": "transfers_failed_exhausted",
@@ -147,16 +148,6 @@ class AgentServer:
         self.clock = kernel.clock
         self.audit = AuditLog(self.clock, capacity=audit_capacity)
         self.stats = Counter()
-        # ``transfers_failed`` used to double-count (bumped alongside
-        # ``transfer_breaker_fastfail``); it is now a computed alias over
-        # the two distinct causes, so old readers keep working and new
-        # readers can tell a breaker fast-fail from exhausted retries.
-        self.stats.alias(
-            "transfers_failed",
-            "transfers_failed_breaker",
-            "transfers_failed_exhausted",
-        )
-        self.stats.alias("transfer_breaker_fastfail", "transfers_failed_breaker")
         self.name_service = name_service
         self.transfer_timeout = transfer_timeout
         # Exactly-once handoff machinery: retry schedule, per-destination
@@ -267,10 +258,11 @@ class AgentServer:
         self.secure.bind_app("agent.report", self._on_report)
 
         # Cluster telemetry: this host's locally served metrics
-        # namespace (the federated twin of the testbed's omniscient
-        # registry).  Sources are read lazily at scrape time, so none of
-        # this touches the enforcement hot path; the ``telemetry.scrape``
-        # op rides the same mutually authenticated channels as transfers.
+        # namespace, the one place its counters are registered (the
+        # testbed's world view folds every unit).  Sources are read
+        # lazily at scrape time, so none of this touches the enforcement
+        # hot path; the ``telemetry.scrape`` op rides the same mutually
+        # authenticated channels as transfers.
         self.telemetry = TelemetryUnit(name, self.clock, server=name)
         self.telemetry.register_source("server", self.stats)
         self.telemetry.register_source("endpoint", self.endpoint.stats)
@@ -613,6 +605,8 @@ class AgentServer:
             self.stats.add(_DEPARTURE_MISS_COUNTERS[verdict])
             if verdict == "refused":
                 detail = f"refused by {destination}: {detail}"
+            else:
+                self.stats.add("transfers_failed")
             return destination, detail
         self.stats.add("transfers_out")
         self._retire(domain.domain_id, "departed", f"to {destination}")

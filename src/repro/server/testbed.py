@@ -125,8 +125,8 @@ class Testbed:
             from repro.server.recovery import RecoveryConfig
 
             self._server_kwargs.setdefault("recovery", RecoveryConfig())
-        # One metrics namespace over every server's ad-hoc counters
-        # (registered lazily — reading happens at scrape time only).
+        # The world's metrics: every host's telemetry registry folded at
+        # read time, plus world-level sources and hook-fed instruments.
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         self.collector: Any = None
@@ -213,9 +213,7 @@ class Testbed:
                     timeout=self._ns_timeout,
                 )
                 self.ns_hosts[node] = host
-                self.metrics.register_source(
-                    "ns_replica", host.stats, node=node, shard=shard_id
-                )
+                self.metrics.include(host.telemetry.registry)
         self.name_service = DirectoryOracle(
             self.ns_ring, self.ns_hosts, self.clock
         )
@@ -262,41 +260,11 @@ class Testbed:
                 breaker_threshold=breaker_threshold,
                 breaker_reset=breaker_reset,
             )
-            self.metrics.register_source(
-                "ns_client", server.name_service.stats, server=name
-            )
-            # Mirror into the server's own telemetry unit so a federated
-            # scrape sees the same keys the omniscient registry does.
             server.telemetry.register_source(
                 "ns_client", server.name_service.stats
             )
         self.servers.append(server)
-        self.metrics.register_source("server", server.stats, server=server.name)
-        self.metrics.register_source(
-            "endpoint", server.endpoint.stats, server=server.name
-        )
-        self.metrics.register_source(
-            "secure", server.secure.stats, server=server.name
-        )
-        self.metrics.register_source(
-            "audit", server.audit, server=server.name
-        )
-        if server.supervisor is not None:
-            self.metrics.register_source(
-                "supervisor", server.supervisor.stats, server=server.name
-            )
-        if server.integrity is not None:
-            self.metrics.register_source(
-                "integrity", server.integrity.stats, server=server.name
-            )
-        if server.membership is not None:
-            self.metrics.register_source(
-                "membership", server.membership.stats, server=server.name
-            )
-        if server.recovery is not None:
-            self.metrics.register_source(
-                "recovery", server.recovery.stats, server=server.name
-            )
+        self.metrics.include(server.telemetry.registry)
         return server
 
     def _connect(
@@ -468,8 +436,8 @@ class Testbed:
     def start_metrics(self) -> MetricsRegistry:
         """Install this world's registry so hook-fed metrics flow.
 
-        Scraping absorbed per-server counters works without this — only
-        the new first-class instruments (proxy latency histograms, deny
+        Every host's counters are in :meth:`scrape` without this — only
+        the hook-fed instruments (proxy latency histograms, deny
         counters) need the hooks live.
         """
         _obs.install(metrics=self.metrics)

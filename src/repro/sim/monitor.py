@@ -15,49 +15,21 @@ __all__ = ["Counter", "Tally", "TimeWeighted", "Series"]
 
 
 class Counter:
-    """Named monotonically increasing counters, with computed aliases.
-
-    An *alias* is a read-only name whose value is the sum of other
-    counters — the escape hatch for splitting an overloaded stat into
-    distinct causes without breaking every reader of the old name
-    (e.g. ``transfers_failed = transfers_failed_breaker +
-    transfers_failed_exhausted``).  Aliases appear in :meth:`as_dict`
-    and cannot be bumped directly.
-    """
+    """Named monotonically increasing counters (a name -> int map)."""
 
     def __init__(self) -> None:
         self._counts: dict[str, int] = {}
-        self._aliases: dict[str, tuple[str, ...]] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase")
-        if name in self._aliases:
-            raise ValueError(
-                f"{name!r} is a computed alias of {self._aliases[name]}; "
-                "bump its parts instead"
-            )
         self._counts[name] = self._counts.get(name, 0) + amount
 
-    def alias(self, name: str, *parts: str) -> None:
-        """Define ``name`` as the computed sum of ``parts``."""
-        if not parts:
-            raise ValueError("an alias needs at least one part")
-        if name in self._counts:
-            raise ValueError(f"{name!r} already exists as a real counter")
-        self._aliases[name] = parts
-
     def get(self, name: str) -> int:
-        parts = self._aliases.get(name)
-        if parts is not None:
-            return sum(self.get(part) for part in parts)
         return self._counts.get(name, 0)
 
     def as_dict(self) -> dict[str, int]:
-        out = dict(self._counts)
-        for name in self._aliases:
-            out[name] = self.get(name)
-        return out
+        return dict(self._counts)
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)

@@ -157,24 +157,6 @@ def test_histogram_merge_rejects_mismatched_bounds():
         a.merge(b)
 
 
-def test_monitor_counter_aliases_survive_aggregation():
-    """Computed alias keys flatten like real counters and federate."""
-    stats = MonitorCounter()
-    stats.alias("failed", "failed_breaker", "failed_exhausted")
-    stats.add("failed_breaker", 2)
-    stats.add("failed_exhausted", 1)
-    unit = _unit(server="a")
-    unit.register_source("xfer", stats)
-    collector = _collector()
-    collector.absorb(unit.snapshot())
-    scrape = collector.scrape()
-    assert scrape["xfer.failed{server=a}"] == 3
-    # The alias keeps tracking its parts across later scrapes.
-    stats.add("failed_breaker")
-    collector.absorb(unit.snapshot())
-    assert collector.scrape()["xfer.failed{server=a}"] == 4
-
-
 def test_gauges_are_newest_wins():
     collector = _collector()
     collector.absorb(MetricSnapshot("a", 1.0, {}, {"g": 5.0}, {}))
@@ -228,7 +210,8 @@ def _drive_tour(bed: Testbed, hops=None):
     return image
 
 
-def _federated_counters(bed: Testbed) -> dict:
+def _federated_scrape(bed: Testbed) -> dict:
+    """One settled collector round, minus the collector's own keys."""
     out = {}
 
     def scrape():
@@ -237,38 +220,61 @@ def _federated_counters(bed: Testbed) -> dict:
     SimThread(bed.kernel, scrape, name="scraper").start()
     bed.run()
     return {
-        k: v
-        for k, v in out["scrape"].items()
-        if isinstance(v, int) and not k.startswith("telemetry.")
+        k: v for k, v in out["scrape"].items() if not k.startswith("telemetry.")
     }
+
+
+def _counters(scrape: dict) -> dict:
+    return {k: v for k, v in scrape.items() if isinstance(v, int)}
+
+
+def _hist_mass(scrape: dict) -> dict:
+    return {k: v["count"] for k, v in scrape.items() if isinstance(v, dict)}
 
 
 def test_federated_scrape_matches_omniscient_registry_exactly():
     bed = Testbed(4, seed=90)
     _drive_tour(bed)
-    federated = _federated_counters(bed)
-    omniscient = {
-        k: v for k, v in bed.scrape().items() if isinstance(v, int)
-    }
-    assert federated == omniscient
+    federated = _federated_scrape(bed)
+    omniscient = bed.scrape()
+    assert _counters(federated) == _counters(omniscient)
+    assert _hist_mass(federated) == _hist_mass(omniscient)
+    assert sum(_hist_mass(omniscient).values()) > 0
 
 
 def test_federation_stays_exact_across_crash_and_restart():
     bed = Testbed(3, seed=91)
     _drive_tour(bed)
-    _federated_counters(bed)  # baseline round (sets delta baselines)
+    _federated_scrape(bed)  # baseline round (sets delta baselines)
     bed.servers[1].crash()
     bed.servers[1].restart()
     bed.run()
     _drive_tour(bed, hops=[bed.servers[1].name, bed.servers[0].name])
-    federated = _federated_counters(bed)
-    omniscient = {
-        k: v for k, v in bed.scrape().items() if isinstance(v, int)
-    }
-    assert federated == omniscient
+    federated = _federated_scrape(bed)
+    omniscient = bed.scrape()
+    assert _counters(federated) == _counters(omniscient)
+    assert _hist_mass(federated) == _hist_mass(omniscient)
     assert federated[
         f"server.crashes{{server={bed.servers[1].name}}}"
     ] == 1
+
+
+def test_world_scrape_contains_every_host_snapshot():
+    """Each host registers its sources once, in its own telemetry unit;
+    the world view folds every unit, gauges and histograms included."""
+    bed = Testbed(3, seed=94, self_healing=True, replicated_name_service=True)
+    _drive_tour(bed)
+    scrape = bed.scrape()
+    hosts = [*bed.servers, *bed.ns_hosts.values()]
+    for host in hosts:
+        snap = host.telemetry.snapshot()
+        for key, value in {**snap.counters, **snap.gauges}.items():
+            assert scrape[key] == value, key
+        for key, state in snap.histograms.items():
+            assert scrape[key] == Histogram.from_state(state).summary(), key
+    home = bed.home.name
+    assert f"server.residents{{server={home}}}" in scrape
+    assert f"transfer_bytes{{server={bed.servers[1].name}}}" in scrape
 
 
 def test_scheduled_collector_rounds_run_as_daemon_ticks():

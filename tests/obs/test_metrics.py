@@ -84,18 +84,6 @@ def test_register_source_is_lazy():
     assert reg.scrape()["server.transfers_out{server=s0}"] == 2
 
 
-def test_register_source_surfaces_aliases():
-    reg = MetricsRegistry()
-    stats = MonitorCounter()
-    stats.alias("failed", "failed_a", "failed_b")
-    stats.add("failed_a", 2)
-    stats.add("failed_b")
-    reg.register_source("server", stats)
-    scrape = reg.scrape()
-    assert scrape["server.failed"] == 3
-    assert scrape["server.failed_a"] == 2
-
-
 def test_register_source_requires_as_dict():
     reg = MetricsRegistry()
     with pytest.raises(TypeError):
@@ -112,16 +100,17 @@ def test_render_text_is_sorted_lines():
     assert "a_metric 1" in lines
 
 
-def test_monitor_counter_alias_semantics():
+
+def test_include_folds_registries_at_read_time():
+    world, host_a, host_b = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()
+    world.include(host_a)
+    world.include(host_b)
     stats = MonitorCounter()
-    stats.alias("total", "x", "y")
-    stats.add("x", 2)
-    stats.add("y", 3)
-    assert stats["total"] == 5
-    assert stats.as_dict()["total"] == 5
-    with pytest.raises(ValueError):
-        stats.add("total")  # aliases are read-only
-    with pytest.raises(ValueError):
-        stats.alias("x", "z")  # cannot shadow a real counter
-    with pytest.raises(ValueError):
-        stats.alias("empty")  # needs parts
+    host_a.register_source("server", stats, server="a")
+    world.inc("hook_fed")
+    stats.add("transfers_out")  # bumped *after* the include
+    host_b.histogram("lat_ns", server="b").observe(600.0)
+    scrape = world.scrape()
+    assert scrape["server.transfers_out{server=a}"] == 1
+    assert scrape["hook_fed"] == 1
+    assert scrape["lat_ns{server=b}"]["count"] == 1

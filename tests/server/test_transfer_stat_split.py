@@ -2,9 +2,11 @@
 
 ``transfers_failed`` used to double as both "every retry failed" and
 "the circuit breaker refused to even try", with a second counter
-(``transfer_breaker_fastfail``) bumped alongside it.  Both are now
-computed aliases over the two disjoint base counters, so dashboards keep
-their keys while operators can finally tell the cases apart.
+(``transfer_breaker_fastfail``, since removed) bumped alongside it.
+Each departure miss now bumps exactly one cause counter
+(``transfers_failed_breaker`` or ``transfers_failed_exhausted``) plus
+``transfers_failed`` itself, so the total always equals the sum of the
+causes while operators can tell the cases apart.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ def test_exhaustion_and_fastfail_hit_separate_counters(dead_destination_world):
     stats = bed.home.stats
     assert stats["transfers_failed_exhausted"] == 1
     assert stats["transfers_failed_breaker"] == 0
-    assert stats["transfers_failed"] == 1  # alias: sum of the two
-    assert stats["transfer_breaker_fastfail"] == 0
+    assert stats["transfers_failed"] == 1  # the sum of the two
     assert bed.home.resident_status(a1.name)["status"] == "terminated"
 
     # Second departure: the open breaker refuses before any attempt.
@@ -73,16 +74,7 @@ def test_exhaustion_and_fastfail_hit_separate_counters(dead_destination_world):
     assert stats["transfers_failed_exhausted"] == 1
     assert stats["transfers_failed_breaker"] == 1
     assert stats["transfers_failed"] == 2
-    assert stats["transfer_breaker_fastfail"] == 1  # legacy alias tracks it
     assert bed.home.resident_status(a2.name)["status"] == "terminated"
-
-
-def test_aliases_are_read_only(dead_destination_world):
-    stats = dead_destination_world.home.stats
-    with pytest.raises(ValueError):
-        stats.add("transfers_failed")
-    with pytest.raises(ValueError):
-        stats.add("transfer_breaker_fastfail")
 
 
 def test_scrape_surfaces_alias_and_parts(dead_destination_world):

@@ -102,6 +102,7 @@ class TwoFaced(Agent):
     bed.run()
     assert bed.servers[1].stats["transfers_refused"] == 1
     assert bed.home.stats["transfers_refused_remote"] == 1
+    assert bed.home.stats["transfers_failed"] == 0
     assert bed.home.resident_status(image.name)["status"] == "terminated"
 
 

@@ -110,3 +110,30 @@ def test_api_testbed_row_matches_the_signature():
         if name != "self"
     ]
     assert sorted(documented) == sorted(actual)
+
+
+def _registered_prefixes(registry) -> set[str]:
+    prefixes = {prefix for prefix, _suffix, _source in registry._sources}
+    for included in registry._included:
+        prefixes |= _registered_prefixes(included)
+    return prefixes
+
+
+def test_source_prefix_catalogue_matches_a_full_world():
+    """The ``Source prefixes`` table in docs/observability.md names every
+    source prefix a world with every plane on registers, and no other."""
+    from repro.server.supervisor import SupervisorConfig
+    from repro.server.testbed import Testbed
+
+    doc = (ROOT / "docs" / "observability.md").read_text()
+    section = doc.split("### Source prefixes", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+    bed = Testbed(
+        2,
+        supervision=SupervisorConfig(),
+        self_healing=True,
+        replicated_name_service=True,
+    )
+    a, b = (s.name for s in bed.servers)
+    bed.faults().loss_burst(a, b, at=1.0, duration=1.0, loss_rate=0.5)
+    assert _registered_prefixes(bed.metrics) == documented
