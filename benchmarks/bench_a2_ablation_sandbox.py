@@ -3,11 +3,16 @@
 The Java-model analogue is pure load-time work (nothing on the call
 path): AST verification scales with shipped code size; namespace
 construction is a builtins copy; the impostor scan is a top-level-name
-set intersection.  This bench justifies accepting that work per arrival
-rather than per call.
+set intersection.  Verification, loop instrumentation and compilation
+are memoized per (source, policy) (``verified_code``), so only the first
+sight of a source pays them ("cold"); a repeat arrival of the same code
+("warm") pays the namespace, the impostor check and the exec.  This
+bench justifies accepting that work at load time rather than per call.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import pytest
 
@@ -45,46 +50,65 @@ def test_namespace_construction(benchmark):
     benchmark(lambda: AgentNamespace("a", trusted={"Agent": AgentStub}))
 
 
-def test_load_including_verify(benchmark):
-    source = agent_source(20)
-    counter = iter(range(10**9))
+def cold_load(source: str, counter) -> Callable[[], object]:
+    """Load a never-seen variant of ``source``: a miss that verifies."""
+
+    def load():
+        n = next(counter)
+        ns = AgentNamespace(f"a{n}", trusted={"Agent": AgentStub})
+        ns.load(f"{source}# variant {n}\n")
+
+    return load
+
+
+def warm_load(source: str, counter) -> Callable[[], object]:
+    """Load ``source`` again into a fresh namespace: a cache hit."""
+    AgentNamespace("warm-up", trusted={"Agent": AgentStub}).load(source)
 
     def load():
         ns = AgentNamespace(f"a{next(counter)}", trusted={"Agent": AgentStub})
         ns.load(source)
 
-    benchmark(load)
+    return load
+
+
+def test_load_cold(benchmark):
+    benchmark(cold_load(agent_source(20), iter(range(10**9))))
+
+
+def test_load_warm(benchmark):
+    benchmark(warm_load(agent_source(20), iter(range(10**9))))
 
 
 def test_table_a2(benchmark):
     def build():
         rows = []
+        counter = iter(range(10**9))
         for n in (1, 20, 100, 200):
             source = agent_source(n)
-            size = len(source)
             verify_ns = time_op(lambda s=source: verify_source(s),
                                 target_seconds=0.03)
-            counter = iter(range(10**9))
-
-            def load(s=source):
-                ns = AgentNamespace(f"a{next(counter)}",
-                                    trusted={"Agent": AgentStub})
-                ns.load(s)
-
-            load_ns = time_op(load, target_seconds=0.03)
-            rows.append([size, verify_ns / 1e3, load_ns / 1e3,
-                         verify_ns / load_ns * 100])
+            cold_ns = time_op(cold_load(source, counter), target_seconds=0.03)
+            warm_ns = time_op(warm_load(source, counter), target_seconds=0.03)
+            rows.append([len(source), verify_ns / 1e3, cold_ns / 1e3,
+                         warm_ns / 1e3, verify_ns / cold_ns * 100,
+                         cold_ns / warm_ns])
         return rows
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
     write_table(
         "A2",
         "ablation: sandbox load-time cost vs shipped code size",
-        ["source bytes", "verify µs", "verify+namespace+exec µs", "verify %"],
+        ["source bytes", "verify_source µs", "cold load µs", "warm load µs",
+         "verify % of cold", "cold/warm ×"],
         rows,
         notes=(
-            "verification is linear in code size and a moderate fraction of"
-            " total load cost; all of it is paid once per arrival — the"
+            "verify_source (uncached) is linear in code size and a large"
+            " fraction of a cold load (first sight of a source: namespace +"
+            " verify + instrument + compile + exec); verification and"
+            " compilation are paid once per distinct (source, policy) per"
+            " process, so a warm load (the same code arriving again) pays"
+            " only the namespace, the impostor check and the exec — the"
             " call path (F5) carries none of it."
         ),
     )

@@ -5,11 +5,16 @@ plus the thread-group domain identification of section 5.3:
 
 - :mod:`repro.sandbox.verifier` — AST-level verification of shipped agent
   source (the byte-code verifier analogue): rejects code that could reach
-  outside the type/encapsulation model before it ever runs.
+  outside the type/encapsulation model before it ever runs.  Like a JVM
+  class, a source is verified once: ``verified_code`` memoizes the
+  verified, loop-instrumented, compiled code per ``(source, policy)``,
+  and never caches a reject.
 - :mod:`repro.sandbox.namespace` — per-agent namespaces with
   impostor-class rejection (the class-loader analogue): privileged names
   always resolve to the server's trusted classes, and one agent's code
-  can never be seen or shadowed by another's.
+  can never be seen or shadowed by another's.  The impostor check, the
+  loop budget and execution stay per namespace, even when the code
+  comes from the cache.
 - :mod:`repro.sandbox.threadgroup` — thread groups identify protection
   domains; the *current* group is derived from execution context, never
   from caller-supplied arguments.
@@ -25,7 +30,7 @@ escape vectors (dunder access, introspection builtins, imports) but is a
 research artifact, not a production sandbox.
 """
 
-from repro.sandbox.verifier import VerifierPolicy, verify_source
+from repro.sandbox.verifier import VerifierPolicy, verified_code, verify_source
 from repro.sandbox.namespace import AgentNamespace
 from repro.sandbox.threadgroup import (
     ThreadGroup,
@@ -38,6 +43,7 @@ from repro.sandbox.security_manager import SecurityManager
 __all__ = [
     "VerifierPolicy",
     "verify_source",
+    "verified_code",
     "AgentNamespace",
     "ThreadGroup",
     "current_group",

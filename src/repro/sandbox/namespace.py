@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import NamespaceError
-from repro.sandbox.instrument import LOOP_CHECK_NAME, LoopBudget, instrument_loops
-from repro.sandbox.verifier import VerifierPolicy, verify_source
+from repro.sandbox.instrument import LOOP_CHECK_NAME, LoopBudget
+from repro.sandbox.verifier import VerifierPolicy, verified_code
 
 __all__ = ["AgentNamespace", "SAFE_BUILTINS"]
 
@@ -109,20 +109,19 @@ class AgentNamespace:
 
         Raises :class:`CodeVerificationError` if the verifier rejects the
         code and :class:`NamespaceError` if a top-level definition would
-        shadow a trusted binding (the impostor-class defence).
+        shadow a trusted binding (the impostor-class defence).  The
+        verified, instrumented code comes from the process-wide cache
+        (:func:`~repro.sandbox.verifier.verified_code`); the impostor
+        check and execution are per namespace.
         """
-        tree = verify_source(source, self.policy)
-        impostors = sorted(
-            self._top_level_names(tree) & set(self._trusted)
-        )
+        code, names = verified_code(source, self.policy)
+        impostors = sorted(names & self._trusted.keys())
         if impostors:
             raise NamespaceError(
                 f"namespace {self.name!r}: code attempts to shadow trusted"
                 f" name(s) {', '.join(impostors)}"
             )
         before = set(self._globals)
-        tree = instrument_loops(tree)
-        code = compile(tree, filename=f"<agentns:{self.name}>", mode="exec")
         exec(code, self._globals)  # noqa: S102 - verified + restricted globals
         self._loaded_sources += 1
         return {
@@ -130,27 +129,6 @@ class AgentNamespace:
             for key, value in self._globals.items()
             if key not in before
         }
-
-    @staticmethod
-    def _top_level_names(tree) -> set[str]:
-        import ast
-
-        names: set[str] = set()
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            names.add(sub.id)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node.target, ast.Name):
-                    names.add(node.target.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name.split(".", 1)[0])
-        return names
 
     # -- access ----------------------------------------------------------------
 

@@ -22,17 +22,26 @@ per-agent anyway
 oversized source / AST                resource-consumption (denial of
                                       service) at load time
 ====================================  =======================================
+
+Like the JVM, which verifies a class once when it is defined rather than
+each time it is used, :func:`verified_code` memoizes the whole load-time
+pipeline (verify, collect top-level names, instrument loops, compile) per
+``(source, policy)``.  The verdict is a pure function of that pair, so a
+source seen before is not parsed again; a rejected source is never
+cached and is re-verified, and rejected, at every arrival.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from types import CodeType
 
 from repro.errors import CodeVerificationError
+from repro.sandbox.instrument import instrument_loops
 
-__all__ = ["VerifierPolicy", "verify_source", "DEFAULT_ALLOWED_IMPORTS",
-           "BANNED_BUILTINS"]
+__all__ = ["VerifierPolicy", "verify_source", "verified_code",
+           "DEFAULT_ALLOWED_IMPORTS", "BANNED_BUILTINS"]
 
 DEFAULT_ALLOWED_IMPORTS = frozenset({"math", "itertools", "functools"})
 
@@ -217,3 +226,66 @@ def verify_source(source: str, policy: VerifierPolicy | None = None) -> ast.Modu
         detail = "; ".join(findings.violations)
         raise CodeVerificationError(f"code verification failed: {detail}")
     return tree
+
+
+# The verified-code cache: (source, policy) -> (code, top-level names).
+# Process-wide and unlocked: only one simulated thread runs at a time,
+# and a racing miss would at worst compile the same source twice.  Both
+# bounds hold at all times; reaching either empties the cache (a flood
+# of distinct sources costs re-verification, never memory).
+_CODE_CACHE: dict[tuple[str, VerifierPolicy], tuple[CodeType, frozenset[str]]] = {}
+_CODE_CACHE_CAPACITY = 256  # entries
+_CODE_CACHE_MAX_BYTES = 4 * 1024 * 1024  # total source bytes held
+_code_cache_bytes = 0
+
+
+def verified_code(
+    source: str, policy: VerifierPolicy | None = None
+) -> tuple[CodeType, frozenset[str]]:
+    """Verify, instrument and compile ``source`` once per ``(source, policy)``.
+
+    Returns the compiled module code and its top-level names (for the
+    loader's impostor check).  The code object is immutable and carries
+    no per-agent state: each namespace that executes it gets its own
+    functions, classes and loop budget.  Raises like :func:`verify_source`;
+    a rejected source is not cached.
+    """
+    global _code_cache_bytes
+    policy = policy or VerifierPolicy()
+    key = (source, policy)
+    entry = _CODE_CACHE.get(key)
+    if entry is not None:
+        return entry
+    tree = verify_source(source, policy)
+    names = _top_level_names(tree)
+    code = compile(instrument_loops(tree), filename="<agent>", mode="exec")
+    entry = (code, names)
+    size = len(source.encode("utf-8", errors="replace"))
+    if size <= _CODE_CACHE_MAX_BYTES:
+        if (len(_CODE_CACHE) >= _CODE_CACHE_CAPACITY
+                or _code_cache_bytes + size > _CODE_CACHE_MAX_BYTES):
+            _CODE_CACHE.clear()
+            _code_cache_bytes = 0
+        _CODE_CACHE[key] = entry
+        _code_cache_bytes += size
+    return entry
+
+
+def _top_level_names(tree: ast.Module) -> frozenset[str]:
+    """Names a module's top-level statements bind."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        names.add(sub.id)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node.target, ast.Name):
+                names.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.split(".", 1)[0])
+    return frozenset(names)

@@ -40,7 +40,7 @@ from repro.credentials.rights import compiled_matcher
 from repro.crypto.trust import TrustAnchor
 from repro.errors import CodeVerificationError, CredentialError, TransferError
 from repro.obs import runtime as _obs
-from repro.sandbox.verifier import VerifierPolicy, verify_source
+from repro.sandbox.verifier import VerifierPolicy, verified_code
 from repro.util.clock import Clock
 
 __all__ = ["AdmissionPolicy", "RingPolicy"]
@@ -199,4 +199,6 @@ class AdmissionPolicy:
                 raise CodeVerificationError(
                     "this server does not accept agents carrying code"
                 )
-            verify_source(image.source, self.verifier_policy)
+            # Verifies on first sight of this (source, policy); the load
+            # that follows admission reuses the compiled result.
+            verified_code(image.source, self.verifier_policy)

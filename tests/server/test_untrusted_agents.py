@@ -68,7 +68,7 @@ class Hopper(Agent):
     # Came back around: report delivered to home from the last server.
     assert len(bed.home.reports) == 1
     assert bed.home.reports[0]["payload"]["visited"] == [s.name for s in bed.servers]
-    # Each hop re-verified and re-loaded the code in a fresh namespace.
+    # Each hop loaded the (once-verified) code into a fresh namespace.
     assert bed.servers[1].stats["transfers_in"] == 1
     assert bed.servers[2].stats["transfers_in"] == 1
 
