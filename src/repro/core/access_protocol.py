@@ -215,91 +215,79 @@ class AccessProtocol:
         ``error`` carrying the deny reason and the ids of the policy
         rules that matched-but-granted-nothing (empty = default-deny).
         """
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "protocol.get_proxy",
-                resource_type=type(self).__name__,
-                domain=context.domain_id,
-                agent=str(credentials.agent),
-            ) as span:
-                return self._issue_proxy(credentials, context, span)
-        return self._issue_proxy(credentials, context, None)
-
-    def _issue_proxy(
-        self,
-        credentials: DelegatedCredentials,
-        context: BindingContext,
-        span,
-    ) -> Resource:
-        grant = self._grant_for(credentials)
         target = type(self).__name__
-        if not grant.enabled:
-            reason = grant.deny_reason()
-            if span is not None:
+        grantee_urn = str(credentials.agent)
+        with _obs.span(
+            "protocol.get_proxy",
+            resource_type=target,
+            domain=context.domain_id,
+            agent=grantee_urn,
+        ) as span:
+            grant = self._grant_for(credentials)
+            if not grant.enabled:
+                reason = grant.deny_reason()
                 span.set_attribute("deny_rules", list(grant.matched_rules))
                 span.set_status("error", reason)
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("proxy_grants_denied", resource=target)
-            if context.audit is not None:
-                context.audit.record(
-                    context.domain_id, "resource.get_proxy", target, False,
-                    reason,
+                if _obs.METRICS_ON:
+                    _obs.METRICS.inc("proxy_grants_denied", resource=target)
+                if context.audit is not None:
+                    context.audit.record(
+                        context.domain_id, "resource.get_proxy", target, False,
+                        reason,
+                    )
+                raise AccessDeniedError(
+                    f"{credentials.agent} is not granted any access to {target}"
                 )
-            raise AccessDeniedError(
-                f"{credentials.agent} is not granted any access to {target}"
-            )
-        if span is not None:
             span.set_attribute("enabled_methods", len(grant.enabled))
             span.set_attribute("matched_rules", list(grant.matched_rules))
-        guard = self._supervision
-        if guard is not None:
-            # Admission control at issue time: a domain hoarding grants
-            # of one resource is shed here, before a proxy exists.
+            guard = self._supervision
+            if guard is not None:
+                # Admission control at issue time: a domain hoarding grants
+                # of one resource is shed here, before a proxy exists.
+                bucket = self._issued.get(context.domain_id)
+                held = len(bucket.refs) if bucket is not None else 0
+                guard.admit_grant(context.domain_id, held)
+            meter = None
+            if grant.metered:
+                meter = Meter(
+                    grantee=context.domain_id,
+                    resource=target,
+                    tariff=self._tariff,
+                    quotas=dict(grant.quotas),
+                    on_charge=context.on_charge,
+                )
+            proxy_cls = synthesize_proxy_class(type(self))
+            proxy = proxy_cls(
+                self,
+                grant,
+                context,
+                meter=meter,
+                admin_domains=self._extra_admin_domains
+                | {context.server_domain_id},
+                supervision=guard,
+                lease_duration=guard.lease_duration if guard is not None else None,
+            )
             bucket = self._issued.get(context.domain_id)
-            held = len(bucket.refs) if bucket is not None else 0
-            guard.admit_grant(context.domain_id, held)
-        meter = None
-        if grant.metered:
-            meter = Meter(
-                grantee=context.domain_id,
-                resource=target,
-                tariff=self._tariff,
-                quotas=dict(grant.quotas),
-                on_charge=context.on_charge,
-            )
-        proxy_cls = synthesize_proxy_class(type(self))
-        proxy = proxy_cls(
-            self,
-            grant,
-            context,
-            meter=meter,
-            admin_domains=self._extra_admin_domains
-            | {context.server_domain_id},
-            supervision=guard,
-            lease_duration=guard.lease_duration if guard is not None else None,
-        )
-        grantee_urn = str(credentials.agent)
-        bucket = self._issued.get(context.domain_id)
-        if bucket is None:
-            bucket = self._issued[context.domain_id] = _ProxyBucket()
-        bucket.add(proxy)
-        bucket.holders.add(grantee_urn)
-        if context.server_domain_id not in self._proxy_admin_domains:
-            self._proxy_admin_domains |= {context.server_domain_id}
-        if not grant.metered:
-            # Mint the signed capability backing this grant.  Metered
-            # grants get none: the meter's billing state lives server-side
-            # and cannot ride in a bearer token, so metered re-binds always
-            # take the full path.
-            self._attach_token(proxy, grantee_urn, credentials, context)
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("proxy_grants_issued", resource=target)
-        if context.audit is not None:
-            context.audit.record(
-                context.domain_id, "resource.get_proxy", target, True,
-                f"enabled={len(grant.enabled)} methods",
-            )
-        return proxy
+            if bucket is None:
+                bucket = self._issued[context.domain_id] = _ProxyBucket()
+            bucket.add(proxy)
+            bucket.holders.add(grantee_urn)
+            if context.server_domain_id not in self._proxy_admin_domains:
+                self._proxy_admin_domains |= {context.server_domain_id}
+            if not grant.metered:
+                # Mint the signed capability backing this grant.  Metered
+                # grants get none: the meter's billing state lives server-side
+                # and cannot ride in a bearer token, so metered re-binds always
+                # take the full path.
+                self._attach_token(proxy, grantee_urn, credentials, context)
+            if _obs.METRICS_ON:
+                _obs.METRICS.inc("proxy_grants_issued", resource=target)
+            if context.audit is not None:
+                context.audit.record(
+                    context.domain_id, "resource.get_proxy", target, True,
+                    f"enabled={len(grant.enabled)} methods",
+                )
+            return proxy
 
     # -- capability tokens (O(1) warm-path enforcement) -------------------------
 

@@ -440,16 +440,14 @@ def _observed_invoke(
     """
     start_ns = time.perf_counter_ns() if _obs.METRICS_ON else 0
     try:
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "proxy.invoke",
-                resource=self._target_name,
-                method=method,
-                domain=self._grantee,
-                ring=RING_NAMES.get(self._ring, str(self._ring)),
-            ):
-                return self._dispatch(self, method, bit, args, kwargs)
-        return self._dispatch(self, method, bit, args, kwargs)
+        with _obs.span(
+            "proxy.invoke",
+            resource=self._target_name,
+            method=method,
+            domain=self._grantee,
+            ring=RING_NAMES.get(self._ring, str(self._ring)),
+        ):
+            return self._dispatch(self, method, bit, args, kwargs)
     finally:
         if _obs.METRICS_ON:
             _obs.METRICS.histogram(

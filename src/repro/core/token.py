@@ -46,6 +46,15 @@ from repro.crypto.mac import HmacKey
 from repro.errors import TokenInvalidError
 from repro.obs import runtime as _obs
 
+# The ring constants live with the protection domain they describe; this
+# module re-exports them next to the tokens whose dispatch they select.
+from repro.sandbox.domain import (
+    RING_NAMES,
+    RING_TRUSTED,
+    RING_UNTRUSTED,
+    RING_VERIFIED,
+)
+
 __all__ = [
     "RING_TRUSTED",
     "RING_VERIFIED",
@@ -62,15 +71,6 @@ __all__ = [
     "mask_of",
     "methods_of",
 ]
-
-# -- protection rings --------------------------------------------------------
-
-RING_TRUSTED = 0  # the launcher's own agents: minimal bookkeeping
-RING_VERIFIED = 1  # verified credentials + trusted code: standard checks
-RING_UNTRUSTED = 2  # carries code / unknown provenance: full mediation
-
-RING_NAMES = {RING_TRUSTED: "ring0", RING_VERIFIED: "ring1", RING_UNTRUSTED: "ring2"}
-
 
 # -- method bitmasks ---------------------------------------------------------
 

@@ -469,41 +469,30 @@ class ReplicaNameHost:
         for key, record in sorted(self._hints.items(), key=lambda kv: str(kv[0])):
             by_target.setdefault(key[0], []).append((key, record))
         for target, entries in by_target.items():
-            if _obs.TRACING:
-                with _obs.TRACER.span(
-                    "ns.handoff", server=self.name, target=target,
-                    records=len(entries),
-                ):
-                    self._deliver_to(target, entries, summary)
-            else:
-                self._deliver_to(target, entries, summary)
-
-    def _deliver_to(
-        self,
-        target: str,
-        entries: list[tuple[tuple[str, URN], VersionedRecord]],
-        summary: dict[str, int],
-    ) -> None:
-        try:
-            channel = self.secure.connect(target, timeout=self._timeout)
-            for key, record in entries:
-                reply = decode(
-                    channel.call(
-                        SHARD_APP_KIND,
-                        encode({"op": "repair", "record": record}),
-                        timeout=self._timeout,
-                    )
-                )
-                # An error reply means the peer holds something newer —
-                # the hint is obsolete either way.
-                self._hints.pop(key, None)
-                self.stats.add("hints_delivered")
-                summary["hints_delivered"] += 1
-                if "error" in reply:
-                    self.stats.add("hints_obsolete")
-        except ReproError:
-            self.stats.add("hint_delivery_failed")
-            self.secure.drop_channel(target)
+            with _obs.span(
+                "ns.handoff", server=self.name, target=target,
+                records=len(entries),
+            ):
+                try:
+                    channel = self.secure.connect(target, timeout=self._timeout)
+                    for key, record in entries:
+                        reply = decode(
+                            channel.call(
+                                SHARD_APP_KIND,
+                                encode({"op": "repair", "record": record}),
+                                timeout=self._timeout,
+                            )
+                        )
+                        # An error reply means the peer holds something
+                        # newer — the hint is obsolete either way.
+                        self._hints.pop(key, None)
+                        self.stats.add("hints_delivered")
+                        summary["hints_delivered"] += 1
+                        if "error" in reply:
+                            self.stats.add("hints_obsolete")
+                except ReproError:
+                    self.stats.add("hint_delivery_failed")
+                    self.secure.drop_channel(target)
 
     # -- anti-entropy --------------------------------------------------------
 
@@ -518,27 +507,21 @@ class ReplicaNameHost:
         }
         if self._crashed:
             return summary
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "ns.repair", server=self.name, shard=self.shard_id
-            ) as span:
-                self._sweep(summary)
-                for key, value in summary.items():
-                    span.set_attribute(key, value)
-        else:
-            self._sweep(summary)
+        with _obs.span(
+            "ns.repair", server=self.name, shard=self.shard_id
+        ) as span:
+            self._deliver_hints(summary)
+            for peer in self.peers:
+                try:
+                    self._reconcile(peer, summary)
+                except ReproError:
+                    summary["peers_unreachable"] += 1
+                    self.stats.add("sweep_peer_unreachable")
+                    self.secure.drop_channel(peer)
+            for key, value in summary.items():
+                span.set_attribute(key, value)
         self.stats.add("sweeps")
         return summary
-
-    def _sweep(self, summary: dict[str, int]) -> None:
-        self._deliver_hints(summary)
-        for peer in self.peers:
-            try:
-                self._reconcile(peer, summary)
-            except ReproError:
-                summary["peers_unreachable"] += 1
-                self.stats.add("sweep_peer_unreachable")
-                self.secure.drop_channel(peer)
 
     def _reconcile(self, peer: str, summary: dict[str, int]) -> None:
         channel = self.secure.connect(peer, timeout=self._timeout)
@@ -732,17 +715,17 @@ class ReplicatedNameClient:
         attributes: dict[str, Any] | None = None,
     ) -> str:
         self._require_urn(name)
-        return self._traced(
-            "register", name, lambda span: self._register(
-                name, location, dict(attributes or {}), span
-            )
-        )
+        with _obs.span(
+            "ns.quorum", op="register", urn=str(name), client=self._host.name
+        ) as span:
+            return self._register(name, location, dict(attributes or {}), span)
 
     def lookup(self, name: URN) -> NameRecord:
         self._require_urn(name)
-        return self._traced(
-            "lookup", name, lambda span: self._lookup(name, span)
-        )
+        with _obs.span(
+            "ns.quorum", op="lookup", urn=str(name), client=self._host.name
+        ) as span:
+            return self._lookup(name, span)
 
     def contains(self, name: URN) -> bool:
         try:
@@ -753,19 +736,17 @@ class ReplicatedNameClient:
 
     def relocate(self, name: URN, token: str, new_location: str) -> None:
         self._require_urn(name)
-        self._traced(
-            "relocate", name, lambda span: self._update(
-                name, token, span, location=new_location
-            )
-        )
+        with _obs.span(
+            "ns.quorum", op="relocate", urn=str(name), client=self._host.name
+        ) as span:
+            self._update(name, token, span, location=new_location)
 
     def unregister(self, name: URN, token: str) -> None:
         self._require_urn(name)
-        self._traced(
-            "unregister", name, lambda span: self._update(
-                name, token, span, tombstone=True
-            )
-        )
+        with _obs.span(
+            "ns.quorum", op="unregister", urn=str(name), client=self._host.name
+        ) as span:
+            self._update(name, token, span, tombstone=True)
 
     def relocate_async(
         self,
@@ -843,8 +824,7 @@ class ReplicatedNameClient:
             if not isinstance(reply, ReproError)
         }
         answered = len(records)
-        if span is not None:
-            span.set_attribute("replies", answered)
+        span.set_attribute("replies", answered)
         if answered == 0:
             self.stats.add("lookups_unavailable")
             raise NetworkError(
@@ -878,8 +858,7 @@ class ReplicatedNameClient:
             attributes["ns.stale"] = True
             attributes["ns.replies"] = answered
             attributes["ns.age"] = age
-            if span is not None:
-                span.set_attribute("stale", True)
+            span.set_attribute("stale", True)
         return NameRecord(name=name, location=best.location, attributes=attributes)
 
     def _update(
@@ -945,8 +924,7 @@ class ReplicatedNameClient:
             node for node, reply in replies.items()
             if not isinstance(reply, ReproError)
         ]
-        if span is not None:
-            span.set_attribute("acks", len(acked))
+        span.set_attribute("acks", len(acked))
         self.stats.add("write_acks", len(acked))
         if len(acked) < self.write_quorum:
             self.stats.add("quorum_write_failures")
@@ -968,35 +946,28 @@ class ReplicatedNameClient:
         self, name: URN, record: VersionedRecord, missing: list[str], via: str
     ) -> None:
         """Leave hints for unreachable replicas with a reachable one."""
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "ns.handoff", client=self._host.name, via=via,
-                targets=",".join(missing), urn=str(name),
-            ):
-                self._send_hints(record, missing, via)
-        else:
-            self._send_hints(record, missing, via)
-
-    def _send_hints(
-        self, record: VersionedRecord, missing: list[str], via: str
-    ) -> None:
-        try:
-            channel = self._host.connect(via, timeout=self._timeout)
-            for target in missing:
-                reply = decode(
-                    channel.call(
-                        SHARD_APP_KIND,
-                        encode({
-                            "op": "hint", "target": target, "record": record,
-                        }),
-                        timeout=self._timeout,
+        with _obs.span(
+            "ns.handoff", client=self._host.name, via=via,
+            targets=",".join(missing), urn=str(name),
+        ):
+            try:
+                channel = self._host.connect(via, timeout=self._timeout)
+                for target in missing:
+                    reply = decode(
+                        channel.call(
+                            SHARD_APP_KIND,
+                            encode({
+                                "op": "hint", "target": target,
+                                "record": record,
+                            }),
+                            timeout=self._timeout,
+                        )
                     )
-                )
-                if "error" not in reply:
-                    self.stats.add("hints_sent")
-        except NetworkError:
-            self.stats.add("hint_send_failed")
-            self._host.drop_channel(via)
+                    if "error" not in reply:
+                        self.stats.add("hints_sent")
+            except NetworkError:
+                self.stats.add("hint_send_failed")
+                self._host.drop_channel(via)
 
     def _read_repair(
         self,
@@ -1091,14 +1062,6 @@ class ReplicatedNameClient:
             )
             self._breakers[node] = breaker
         return breaker
-
-    def _traced(self, op: str, name: URN, body: Callable[[Any], Any]) -> Any:
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "ns.quorum", op=op, urn=str(name), client=self._host.name
-            ) as span:
-                return body(span)
-        return body(None)
 
     @staticmethod
     def _require_urn(name: Any) -> None:

@@ -69,45 +69,39 @@ class Endpoint:
         self, dst: str, kind: str, payload: bytes, timeout: float | None = None
     ) -> bytes:
         """Blocking request/response; must run in a simulated thread."""
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "rpc.call", src=self.name, dst=dst, kind=kind
-            ):
-                return self._call(dst, kind, payload, timeout)
-        return self._call(dst, kind, payload, timeout)
-
-    def _call(
-        self, dst: str, kind: str, payload: bytes, timeout: float | None
-    ) -> bytes:
-        self._check_open()
-        corr_id = self._corr_ids.next()
-        event = SimEvent(self.kernel)
-        self._pending[corr_id] = event
-        timer = None
-        try:
-            if timeout is not None:
-                timer = self.kernel.schedule(timeout, event.set, _TIMEOUT)
-            self.network.send(
-                Message(
-                    src=self.name, dst=dst, kind=kind, payload=payload,
-                    corr_id=corr_id,
+        with _obs.span("rpc.call", src=self.name, dst=dst, kind=kind):
+            self._check_open()
+            corr_id = self._corr_ids.next()
+            event = SimEvent(self.kernel)
+            self._pending[corr_id] = event
+            timer = None
+            try:
+                if timeout is not None:
+                    timer = self.kernel.schedule(
+                        timeout, event.set, _TIMEOUT
+                    )
+                self.network.send(
+                    Message(
+                        src=self.name, dst=dst, kind=kind, payload=payload,
+                        corr_id=corr_id,
+                    )
                 )
-            )
-            result = event.wait()
-        finally:
-            # Cancel on *every* exit — success, timeout, interruption, or a
-            # send failure — so abandoned calls leave no stale kernel timers
-            # (cancelling an already-fired timer is a no-op).
-            self._pending.pop(corr_id, None)
-            if timer is not None:
-                timer.cancel()
-        if result is _TIMEOUT:
-            self.stats.add("call_timeouts")
-            raise NetworkError(
-                f"{self.name}: call {kind!r} to {dst!r} timed out after {timeout}s"
-            )
-        assert isinstance(result, Message)
-        return result.payload
+                result = event.wait()
+            finally:
+                # Cancel on *every* exit — success, timeout, interruption,
+                # or a send failure — so abandoned calls leave no stale
+                # kernel timers (cancelling a fired timer is a no-op).
+                self._pending.pop(corr_id, None)
+                if timer is not None:
+                    timer.cancel()
+            if result is _TIMEOUT:
+                self.stats.add("call_timeouts")
+                raise NetworkError(
+                    f"{self.name}: call {kind!r} to {dst!r} timed out"
+                    f" after {timeout}s"
+                )
+            assert isinstance(result, Message)
+            return result.payload
 
     def reply(self, request: Message, payload: bytes) -> None:
         """Send a (possibly deferred) reply to ``request``."""

@@ -6,26 +6,41 @@ isolation), and the agent's validated credentials (authorization input) —
 under a single id that the domain database and audit log key on.
 
 Each domain also carries its protection **ring** — the trust tier the
-admission policy assigned on arrival (``repro.core.token``: ring 0
-trusted launcher, ring 1 verified, ring 2 untrusted).  The ring selects
-how much per-invocation bookkeeping the domain's proxies pay; it never
-affects *whether* an access is authorized.  The default is ring 1 for
-every kind of domain, so deployments without an explicit ring policy
-behave exactly as before rings existed.
+admission policy assigned on arrival (ring 0 trusted launcher, ring 1
+verified, ring 2 untrusted; ``repro.core.token`` re-exports the
+constants).  The ring selects how much per-invocation bookkeeping the
+domain's proxies pay; it never affects *whether* an access is
+authorized.  The default is ring 1 for every kind of domain, so
+deployments without an explicit ring policy behave exactly as before
+rings existed.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.token import RING_VERIFIED
 from repro.sandbox.namespace import AgentNamespace
 from repro.sandbox.threadgroup import ThreadGroup, current_group
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.credentials.delegation import DelegatedCredentials
 
-__all__ = ["ProtectionDomain", "current_domain"]
+__all__ = [
+    "RING_TRUSTED",
+    "RING_VERIFIED",
+    "RING_UNTRUSTED",
+    "RING_NAMES",
+    "ProtectionDomain",
+    "current_domain",
+]
+
+# -- protection rings --------------------------------------------------------
+
+RING_TRUSTED = 0  # the launcher's own agents: minimal bookkeeping
+RING_VERIFIED = 1  # verified credentials + trusted code: standard checks
+RING_UNTRUSTED = 2  # carries code / unknown provenance: full mediation
+
+RING_NAMES = {RING_TRUSTED: "ring0", RING_VERIFIED: "ring1", RING_UNTRUSTED: "ring2"}
 
 
 class ProtectionDomain:

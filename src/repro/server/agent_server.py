@@ -25,6 +25,7 @@ retire), a security violation (terminated, audited), or an agent bug
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -102,6 +103,13 @@ def _revoke_holder_tokens(domain: ProtectionDomain) -> None:
     """
     if domain.credentials is not None:
         default_epoch_registry().bump_holder(str(domain.credentials.agent))
+
+
+def _carried_context(image: AgentImage) -> SpanContext | None:
+    """The trace context ``image`` carried in (stamped by its sender)."""
+    if not isinstance(image.attributes, dict):
+        return None
+    return SpanContext.from_attributes(image.attributes.get("trace_ctx"))
 
 
 # The sender counter for each way a resident's own departure can miss;
@@ -345,15 +353,11 @@ class AgentServer:
             # Launch is where the home server seals the planned tour;
             # the commitment is re-appraised when the agent returns.
             image = self.integrity.commit_itinerary(image)
-        if not _obs.TRACING:
-            self.admission.validate(image)
-            return self._start_resident(image)
-        with _obs.TRACER.span(
+        with _obs.span(
             "agent.launch", agent=str(image.name), server=self.name
         ) as span:
-            if isinstance(image.attributes, dict) and (
-                SpanContext.from_attributes(image.attributes.get("trace_ctx"))
-                is None
+            if _obs.TRACING and isinstance(image.attributes, dict) and (
+                _carried_context(image) is None
             ):
                 image = image.with_attributes(
                     trace_ctx=span.context.to_attributes()
@@ -452,87 +456,75 @@ class AgentServer:
         server.  Simulated threads run ``finally`` blocks even when
         killed, so the span closes on every exit path.
         """
-        if not _obs.TRACING:
-            self._resident_body(image, domain)
-            return
-        parent = None
-        if isinstance(image.attributes, dict):
-            parent = SpanContext.from_attributes(
-                image.attributes.get("trace_ctx")
-            )
-        with _obs.TRACER.span(
+        with _obs.span(
             "agent.resident",
-            parent=parent,
+            parent=_carried_context(image),
             agent=str(image.name),
             server=self.name,
             hop=len(image.trace),
         ):
-            self._resident_body(image, domain)
-
-    def _resident_body(
-        self, image: AgentImage, domain: ProtectionDomain
-    ) -> None:
-        try:
-            instance = self._materialize(image, domain)
-        except ReproError as exc:
-            self.stats.add("agents_failed_materialize")
-            self._retire(
-                domain.domain_id, "terminated", f"materialization failed: {exc}"
-            )
-            return
-        self._instances[domain.domain_id] = instance
-        entry = getattr(instance, image.entry_method, None)
-        if entry is None or not callable(entry):
-            self.stats.add("agents_failed")
-            self._retire(
-                domain.domain_id, "terminated",
-                f"agent has no entry method {image.entry_method!r}",
-            )
-            return
-        pending = entry
-        retries = 0
-        while True:
             try:
-                if domain.namespace is not None:
-                    # Fresh Telescript-style execution budget per entry.
-                    domain.namespace.reset_execution_budget()
-                result = pending()
-            except Departure as departure:
-                failure = self._handle_departure(image, instance, domain, departure)
-                if failure is None:
-                    return  # departed successfully
-                # Failure-tolerant itineraries: an agent defining a
-                # ``transfer_failed(destination, reason)`` hook gets a
-                # chance to re-route instead of being terminated.
-                hook = getattr(instance, "transfer_failed", None)
-                retries += 1
-                if callable(hook) and retries <= self.MAX_TRANSFER_RETRIES:
-                    destination, reason = failure
-                    pending = lambda d=destination, r=reason: hook(d, r)  # noqa: E731
-                    continue
-                self.stats.add("agents_terminated_transfer")
+                instance = self._materialize(image, domain)
+            except ReproError as exc:
+                self.stats.add("agents_failed_materialize")
+                self._retire(
+                    domain.domain_id, "terminated", f"materialization failed: {exc}"
+                )
+                return
+            self._instances[domain.domain_id] = instance
+            entry = getattr(instance, image.entry_method, None)
+            if entry is None or not callable(entry):
+                self.stats.add("agents_failed")
                 self._retire(
                     domain.domain_id, "terminated",
-                    f"transfer failed: {failure[1]}",
+                    f"agent has no entry method {image.entry_method!r}",
                 )
                 return
-            except Completion as completion:
-                self._handle_completion(image, domain, completion.result)
-                return
-            except SecurityException as exc:
-                self.stats.add("agents_killed_security")
-                self._retire(
-                    domain.domain_id, "terminated", f"security violation: {exc}"
-                )
-                return
-            except Exception as exc:  # noqa: BLE001 - agent bugs stay contained
-                self.stats.add("agents_failed")
-                self._retire(domain.domain_id, "terminated", f"agent error: {exc!r}")
-                return
-            else:
-                # Falling off the end of the entry method is a completion.
-                self._handle_completion(image, domain, result)
-                return
+            pending = entry
+            retries = 0
+            while True:
+                try:
+                    if domain.namespace is not None:
+                        # Fresh Telescript-style execution budget per entry.
+                        domain.namespace.reset_execution_budget()
+                    result = pending()
+                except Departure as departure:
+                    failure = self._handle_departure(image, instance, domain, departure)
+                    if failure is None:
+                        return  # departed successfully
+                    # Failure-tolerant itineraries: an agent defining a
+                    # ``transfer_failed(destination, reason)`` hook gets a
+                    # chance to re-route instead of being terminated.
+                    hook = getattr(instance, "transfer_failed", None)
+                    retries += 1
+                    if callable(hook) and retries <= self.MAX_TRANSFER_RETRIES:
+                        pending = functools.partial(hook, *failure)
+                        continue
+                    self.stats.add("agents_terminated_transfer")
+                    self._retire(
+                        domain.domain_id, "terminated",
+                        f"transfer failed: {failure[1]}",
+                    )
+                    return
+                except Completion as completion:
+                    self._handle_completion(image, domain, completion.result)
+                    return
+                except SecurityException as exc:
+                    self.stats.add("agents_killed_security")
+                    self._retire(
+                        domain.domain_id, "terminated", f"security violation: {exc}"
+                    )
+                    return
+                except Exception as exc:  # noqa: BLE001 - agent bugs stay contained
+                    self.stats.add("agents_failed")
+                    self._retire(
+                        domain.domain_id, "terminated", f"agent error: {exc!r}"
+                    )
+                    return
+                else:
+                    # Falling off the end of the entry method is a completion.
+                    self._handle_completion(image, domain, result)
+                    return
 
     def _materialize(self, image: AgentImage, domain: ProtectionDomain) -> Agent:
         """Instantiate the agent's class and restore its shipped state."""
@@ -573,45 +565,34 @@ class AgentServer:
         departure is journaled before the first network attempt so a
         crash mid-transfer can be recovered (:meth:`restart`).
         """
-        if not _obs.TRACING:
-            return self._depart(image, instance, domain, departure)
-        with _obs.TRACER.span(
+        destination = departure.destination
+        with _obs.span(
             "transfer.depart",
             agent=str(image.name),
             server=self.name,
-            destination=departure.destination,
+            destination=destination,
         ) as span:
-            failure = self._depart(image, instance, domain, departure)
-            if failure is not None and span.status == "unset":
-                span.set_status("error", failure[1])
-            return failure
-
-    def _depart(
-        self,
-        image: AgentImage,
-        instance: Agent,
-        domain: ProtectionDomain,
-        departure: Departure,
-    ) -> "tuple[str, str] | None":
-        destination = departure.destination
-        outgoing = image.with_state(instance.capture_state(), departure.method)
-        misses: list[tuple[str, str]] = []
-        if self.relocate(
-            outgoing, [destination], reason="depart",
-            journal=domain.domain_id,
-            on_miss=lambda _target, *miss: misses.append(miss),
-        ) is None:
-            [(verdict, detail)] = misses
-            self.stats.add(_DEPARTURE_MISS_COUNTERS[verdict])
-            if verdict == "refused":
-                detail = f"refused by {destination}: {detail}"
-            else:
-                self.stats.add("transfers_failed")
-            return destination, detail
-        self.stats.add("transfers_out")
-        self._retire(domain.domain_id, "departed", f"to {destination}")
-        self._settle_bill(image, domain)
-        return None
+            outgoing = image.with_state(
+                instance.capture_state(), departure.method
+            )
+            misses: list[tuple[str, str]] = []
+            if self.relocate(
+                outgoing, [destination], reason="depart",
+                journal=domain.domain_id,
+                on_miss=lambda _target, *miss: misses.append(miss),
+            ) is None:
+                [(verdict, detail)] = misses
+                self.stats.add(_DEPARTURE_MISS_COUNTERS[verdict])
+                if verdict == "refused":
+                    detail = f"refused by {destination}: {detail}"
+                else:
+                    self.stats.add("transfers_failed")
+                span.set_status("error", detail)
+                return destination, detail
+            self.stats.add("transfers_out")
+            self._retire(domain.domain_id, "departed", f"to {destination}")
+            self._settle_bill(image, domain)
+            return None
 
     # ------------------------------------------------------------------
     # Relocation: the one way an agent leaves for another server
@@ -948,16 +929,7 @@ class AgentServer:
                 bodies.append(encode(body))
         if not bodies:
             return
-        if not _obs.TRACING:
-            self._send_report(home_site, bodies)
-            return
-        with _obs.TRACER.span(
-            "report.send", server=self.name, destination=home_site,
-            reports=len(bodies),
-        ):
-            self._send_report(home_site, bodies)
 
-    def _send_report(self, home_site: str, bodies: list[bytes]) -> None:
         def attempt(_: int) -> None:
             self.stats.add("report_attempts")
             channel = self.secure.connect(home_site)
@@ -970,15 +942,19 @@ class AgentServer:
             self.stats.add("report_retries")
             self.secure.drop_channel(home_site)
 
-        call_with_retries(
-            attempt,
-            kernel=self.kernel,
-            policy=self.report_retry,
-            rng=self._retry_rng,
-            retry_on=(NetworkError,),
-            on_retry=note_retry,
-            describe=f"report to {home_site}",
-        )
+        with _obs.span(
+            "report.send", server=self.name, destination=home_site,
+            reports=len(bodies),
+        ):
+            call_with_retries(
+                attempt,
+                kernel=self.kernel,
+                policy=self.report_retry,
+                rng=self._retry_rng,
+                retry_on=(NetworkError,),
+                on_retry=note_retry,
+                describe=f"report to {home_site}",
+            )
 
     def _on_report(self, peer: str, body: bytes) -> None:
         try:
@@ -995,116 +971,106 @@ class AgentServer:
     # ------------------------------------------------------------------
 
     def _on_transfer(self, peer: str, body: bytes) -> bytes:
-        if not _obs.TRACING:
-            return self._admit_transfer(peer, body, None)
-        with _obs.TRACER.span(
-            "transfer.admit", server=self.name, peer=peer
-        ) as span:
-            return self._admit_transfer(peer, body, span)
-
-    def _admit_transfer(self, peer: str, body: bytes, span) -> bytes:
-        # Offered wire bytes, whatever the verdict — capacity planning
-        # wants to see refused load too.  One bisect; transfers are
-        # crypto-dominated, so this is noise on the transfer path.
-        self.telemetry.observe("transfer_bytes", len(body))
-        if (
-            self.integrity is not None
-            and self.integrity.quarantine.blocked_name(peer)
-        ):
-            # A quarantined upstream host gets a fast refusal before this
-            # server spends any decode/verification work on its offer.
-            self.stats.add("transfers_refused")
-            self.stats.add("transfers_refused_quarantined")
-            if span is not None:
+        with _obs.span("transfer.admit", server=self.name, peer=peer) as span:
+            # Offered wire bytes, whatever the verdict — capacity planning
+            # wants to see refused load too.  One bisect; transfers are
+            # crypto-dominated, so this is noise on the transfer path.
+            self.telemetry.observe("transfer_bytes", len(body))
+            if (
+                self.integrity is not None
+                and self.integrity.quarantine.blocked_name(peer)
+            ):
+                # A quarantined upstream host gets a fast refusal before
+                # this server spends any decode/verification work on it.
+                self.stats.add("transfers_refused")
+                self.stats.add("transfers_refused_quarantined")
                 span.set_status("error", f"refused: {peer} is quarantined")
-            self.audit.record(
-                peer, "atp.quarantine", "", False,
-                "transfer refused: sender is quarantined",
-            )
-            return encode({"status": "refused", "reason": "sender quarantined"})
-        tid: str | None = None
-        try:
-            image = decode(body)
-            if span is not None and isinstance(image, AgentImage):
-                if isinstance(image.attributes, dict):
-                    carried = SpanContext.from_attributes(
-                        image.attributes.get("trace_ctx")
-                    )
-                    if carried is not None:
-                        # Join the trace the sender stamped on the image
-                        # (learned only now — after the span opened).
-                        span.adopt_context(carried)
+                self.audit.record(
+                    peer, "atp.quarantine", "", False,
+                    "transfer refused: sender is quarantined",
+                )
+                return encode(
+                    {"status": "refused", "reason": "sender quarantined"}
+                )
+            tid: str | None = None
+            try:
+                image = decode(body)
+                if not isinstance(image, AgentImage):
+                    raise TransferError("payload is not an agent image")
+                carried = _carried_context(image)
+                if carried is not None:
+                    # Join the trace the sender stamped on the image
+                    # (learned only now — after the span opened).
+                    span.adopt_context(carried)
                 span.set_attribute("agent", str(image.name))
-            if not isinstance(image, AgentImage):
-                raise TransferError("payload is not an agent image")
-            # Idempotent receive: a retransmission of a transfer this
-            # server already answered (lost ack, sender retry or crash
-            # recovery) gets the cached reply — the agent is not admitted
-            # twice.  The key includes the authenticated peer, so one
-            # sender cannot poison another's entries.
-            tid = image.transfer_id
-            if tid is not None and 0 < len(tid) <= 128:
-                cached = self._transfer_dedup.get((peer, tid))
-                if cached is not None:
-                    self.stats.add("transfers_duplicate_suppressed")
-                    if span is not None:
+                # Idempotent receive: a retransmission of a transfer this
+                # server already answered (lost ack, sender retry or
+                # crash recovery) gets the cached reply — the agent is
+                # not admitted twice.  The key includes the authenticated
+                # peer, so one sender cannot poison another's entries.
+                tid = image.transfer_id
+                if tid is not None and 0 < len(tid) <= 128:
+                    cached = self._transfer_dedup.get((peer, tid))
+                    if cached is not None:
+                        self.stats.add("transfers_duplicate_suppressed")
                         # A retransmission, not a fresh hop: no resident
                         # span is started, the trace shows an event.
                         span.set_attribute("duplicate", True)
-                        _obs.TRACER.add_event(
-                            "transfer.duplicate", transfer_id=tid
+                        if _obs.TRACING:
+                            _obs.TRACER.add_event(
+                                "transfer.duplicate", transfer_id=tid
+                            )
+                        self.audit.record(
+                            peer, "atp.dedup", str(image.name), True,
+                            f"duplicate transfer {tid} answered from cache",
                         )
-                    self.audit.record(
-                        peer, "atp.dedup", str(image.name), True,
-                        f"duplicate transfer {tid} answered from cache",
-                    )
-                    return cached
-            else:
-                tid = None
-            if self._draining:
-                # Past the dedup lookup on purpose: a retransmission of
-                # a transfer this server accepted *before* it started
-                # draining must still get its cached "accepted".
-                self.stats.add("transfers_refused_draining")
-                raise TransferError("server draining")
-            self.admission.validate(image, wire_size=len(body), peer=peer)
-        except AgentIntegrityError as exc:
-            reply = self._reject_integrity(peer, tid, span, exc)
-            return reply
-        except ReproError as exc:
-            self.stats.add("transfers_refused")
-            if span is not None:
+                        return cached
+                else:
+                    tid = None
+                if self._draining:
+                    # Past the dedup lookup on purpose: a retransmission
+                    # of a transfer this server accepted *before* it
+                    # started draining must still get its cached
+                    # "accepted".
+                    self.stats.add("transfers_refused_draining")
+                    raise TransferError("server draining")
+                self.admission.validate(image, wire_size=len(body), peer=peer)
+            except AgentIntegrityError as exc:
                 span.set_status("error", f"refused: {exc}")
-            if isinstance(exc, AgentAttributeError):
-                # The whitelist refusal gets its own audit operation so
-                # operators can tell malformed-attribute probes apart
-                # from ordinary admission denials.
-                self.audit.record(
-                    peer, "agent.attributes_reject",
-                    str(exc.context.get("key", "")), False, str(exc),
-                )
-            self.audit.record(peer, "atp.admit", "", False, str(exc))
-            reply = encode({"status": "refused", "reason": str(exc)})
+                return self._reject_integrity(peer, tid, exc)
+            except ReproError as exc:
+                self.stats.add("transfers_refused")
+                span.set_status("error", f"refused: {exc}")
+                if isinstance(exc, AgentAttributeError):
+                    # The whitelist refusal gets its own audit operation
+                    # so operators can tell malformed-attribute probes
+                    # apart from ordinary admission denials.
+                    self.audit.record(
+                        peer, "agent.attributes_reject",
+                        str(exc.context.get("key", "")), False, str(exc),
+                    )
+                self.audit.record(peer, "atp.admit", "", False, str(exc))
+                reply = encode({"status": "refused", "reason": str(exc)})
+                if tid is not None:
+                    self._transfer_dedup.put((peer, tid), reply)
+                return reply
+            self.stats.add("transfers_in")
+            self.audit.record(peer, "atp.admit", str(image.name), True, "")
+            if self.integrity is not None:
+                chain = image.attributes.get(APPRAISAL_ATTRIBUTE)
+                if chain:
+                    # Only a fully admitted image enters the replay record
+                    # — recording earlier would let an image refused for
+                    # other reasons poison its own legitimate retry.
+                    self.integrity.remember(chain[-1].tag())
+            self._start_resident(image)
+            reply = encode({"status": "accepted"})
             if tid is not None:
                 self._transfer_dedup.put((peer, tid), reply)
             return reply
-        self.stats.add("transfers_in")
-        self.audit.record(peer, "atp.admit", str(image.name), True, "")
-        if self.integrity is not None:
-            chain = image.attributes.get(APPRAISAL_ATTRIBUTE)
-            if chain:
-                # Only a fully admitted image enters the replay record —
-                # recording earlier would let an image refused for other
-                # reasons poison its own legitimate retry.
-                self.integrity.remember(chain[-1].tag())
-        self._start_resident(image)
-        reply = encode({"status": "accepted"})
-        if tid is not None:
-            self._transfer_dedup.put((peer, tid), reply)
-        return reply
 
     def _reject_integrity(
-        self, peer: str, tid: str | None, span, exc: AgentIntegrityError
+        self, peer: str, tid: str | None, exc: AgentIntegrityError
     ) -> bytes:
         """Integrity rejection: quarantine upstream, kill carried tokens,
         audit and trace the event, and cache the refusal for retries."""
@@ -1124,23 +1090,16 @@ class AgentServer:
             # (redemption falls back to full authorization, which the
             # quarantined impostor cannot pass).
             default_epoch_registry().bump_holder(str(agent))
-        detail = f"{reason}: {exc}"
-        if span is not None:
-            span.set_status("error", f"refused: {exc}")
-            with _obs.TRACER.span(
-                "agent.integrity_reject",
-                agent=str(agent or ""),
-                peer=peer,
-                reason=reason,
-            ) as reject_span:
-                reject_span.set_status("error", str(exc))
-                self.audit.record(
-                    peer, "agent.integrity_reject", str(agent or ""), False,
-                    detail,
-                )
-        else:
+        with _obs.span(
+            "agent.integrity_reject",
+            agent=str(agent or ""),
+            peer=peer,
+            reason=reason,
+        ) as reject_span:
+            reject_span.set_status("error", str(exc))
             self.audit.record(
-                peer, "agent.integrity_reject", str(agent or ""), False, detail
+                peer, "agent.integrity_reject", str(agent or ""), False,
+                f"{reason}: {exc}",
             )
         reply = encode({"status": "refused", "reason": str(exc)})
         if tid is not None:
@@ -1206,23 +1165,27 @@ class AgentServer:
         the control handler checks the home site, the agent environment
         checks creator identity.
         """
-        thread = self._threads.get(domain_id)
-        # The whole thread *group* dies, not just the resident's main
-        # thread: workers it spawned (section 5.3: same group) must not
-        # survive their agent.
-        group_threads: list[SimThread] = []
-        if domain_id in self.domain_db:
-            record = self.domain_db.get(domain_id)
-            group_threads = record.domain.thread_group.live_threads()
-        if (thread is None or not thread.is_alive) and not group_threads:
+        if not self._kill_group(domain_id):
             return False
-        if thread is not None and thread.is_alive:
-            thread.kill()
-        for worker in group_threads:
-            if worker is not thread and worker.is_alive:
-                worker.kill()
         self._retire(domain_id, "terminated", operation=None)
         return True
+
+    def _kill_group(self, domain_id: str) -> list[SimThread]:
+        """Kill a resident's thread, then every other live thread of its
+        group: workers it spawned (section 5.3: same group) must not
+        survive their agent.  Returns the threads killed, the resident's
+        own first."""
+        thread = self._threads.get(domain_id)
+        doomed = [thread] if thread is not None and thread.is_alive else []
+        if domain_id in self.domain_db:
+            group = self.domain_db.get(domain_id).domain.thread_group
+            doomed += [
+                worker for worker in group.live_threads()
+                if worker is not thread
+            ]
+        for victim in doomed:
+            victim.kill()
+        return doomed
 
     # ------------------------------------------------------------------
     # Crash and recovery (failure model: fail-stop with stable storage)
@@ -1241,15 +1204,8 @@ class AgentServer:
         self.stats.add("crashes")
         self.audit.record(self.name, "server.crash", "", False, "simulated crash")
         for domain_id, thread in list(self._threads.items()):
-            if thread.is_alive:
-                thread.kill()
+            if thread in self._kill_group(domain_id):
                 self.stats.add("agents_killed_crash")
-            if domain_id in self.domain_db:
-                for worker in self.domain_db.get(
-                    domain_id
-                ).domain.thread_group.live_threads():
-                    if worker is not thread and worker.is_alive:
-                        worker.kill()
             with self.domain_db.privileged():
                 if domain_id in self.domain_db:
                     self.domain_db.set_status(domain_id, "terminated")
@@ -1321,17 +1277,9 @@ class AgentServer:
         or relaunch locally when this server *is* the home site.  Only
         when every avenue fails is the agent declared stranded.
         """
-        if not _obs.TRACING:
-            self._recover(record)
-            return
-        parent = None
-        if isinstance(record.image.attributes, dict):
-            parent = SpanContext.from_attributes(
-                record.image.attributes.get("trace_ctx")
-            )
-        with _obs.TRACER.span(
+        with _obs.span(
             "transfer.recover",
-            parent=parent,
+            parent=_carried_context(record.image),
             agent=str(record.image.name),
             server=self.name,
             destination=record.destination,
