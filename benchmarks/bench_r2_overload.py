@@ -132,7 +132,7 @@ def run_wave(supervised: bool, runaways: int = BAD, seed: int = SEED,
             quarantine_after=50,  # isolate shedding+kills from quarantine
             runaway_strikes=3,
         )
-    bed = Testbed(servers, seed=seed, supervision=supervision,
+    bed = Testbed(servers, seed=seed, server_kwargs={"supervision": supervision},
                   self_healing=self_healing)
     policy = SecurityPolicy(
         rules=[PolicyRule("any", "*", Rights.of("Catalog.*"), confine=False)]

@@ -77,6 +77,14 @@ COMMITMENT_ATTRIBUTE = "itinerary_commitment"
 _MAX_URN = 512  # bound on wire-decoded link fields
 _MAX_TAG = 64
 
+# How long, in virtual seconds, a host caught tampering stays banned.
+QUARANTINE_DURATION = 3600.0
+# Bounds of the LRU records standing in for stable storage: chain tips
+# already admitted here (replay detection) and agents this home site
+# committed an itinerary for (stripping detection).
+REPLAY_CAPACITY = 4096
+COMMITMENT_CAPACITY = 4096
+
 
 def state_digest(image: AgentImage) -> bytes:
     """The digest of everything a relay host could silently rewrite.
@@ -240,7 +248,9 @@ class HostQuarantine:
     sealing key.
     """
 
-    def __init__(self, clock: Clock, *, duration: float = 3600.0) -> None:
+    def __init__(
+        self, clock: Clock, *, duration: float = QUARANTINE_DURATION
+    ) -> None:
         self.clock = clock
         self.duration = duration
         self._names: dict[str, float] = {}
@@ -295,16 +305,13 @@ class IntegrityAuthority:
         trust_anchor: TrustAnchor,
         clock: Clock,
         rng: random.Random,
-        quarantine_duration: float = 3600.0,
-        replay_capacity: int = 4096,
-        commitment_capacity: int = 4096,
     ) -> None:
         self.name = name
         self.keys = keys
         self.certificate = certificate
         self.trust_anchor = trust_anchor
         self.clock = clock
-        self.quarantine = HostQuarantine(clock, duration=quarantine_duration)
+        self.quarantine = HostQuarantine(clock)
         self.stats = Counter()
         # Home-side itinerary commitments are sealed under a key that
         # never leaves this server; remembering which agents were
@@ -313,7 +320,6 @@ class IntegrityAuthority:
         self._committed: collections.OrderedDict[str, bytes] = (
             collections.OrderedDict()
         )
-        self._commitment_capacity = commitment_capacity
         # Chain tips already admitted here: a bounded LRU standing in for
         # a stable-storage record.  A structurally perfect image offered
         # twice (under a fresh transfer id, so dedup cannot see it) is a
@@ -321,7 +327,6 @@ class IntegrityAuthority:
         self._seen_tips: collections.OrderedDict[bytes, float] = (
             collections.OrderedDict()
         )
-        self._replay_capacity = replay_capacity
         # Signature-checked certificates (a federation has few sealing
         # hosts, so the same certificates recur in every chain).  The
         # validity window and the trust anchor's version are re-checked
@@ -561,7 +566,7 @@ class IntegrityAuthority:
         """Record an admitted chain tip for replay detection."""
         self._seen_tips[tip_tag] = self.clock.now()
         self._seen_tips.move_to_end(tip_tag)
-        while len(self._seen_tips) > self._replay_capacity:
+        while len(self._seen_tips) > REPLAY_CAPACITY:
             self._seen_tips.popitem(last=False)
 
     # -- itinerary commitments (home side) ---------------------------------
@@ -588,7 +593,7 @@ class IntegrityAuthority:
         )
         self._committed[str(image.name)] = commitment.mac
         self._committed.move_to_end(str(image.name))
-        while len(self._committed) > self._commitment_capacity:
+        while len(self._committed) > COMMITMENT_CAPACITY:
             self._committed.popitem(last=False)
         self.stats.add("itineraries_committed")
         return image.with_attributes(**{COMMITMENT_ATTRIBUTE: commitment})

@@ -1,17 +1,16 @@
 """Symmetric AEAD: SHA-256 counter-mode stream cipher with encrypt-then-MAC.
 
 Secure channels (section 2: privacy + integrity of communication) seal
-every payload with :func:`seal_payload` and reject anything
-:func:`open_payload` cannot authenticate.  Key separation: independent
+every payload with :meth:`SealContext.seal` and reject anything
+:meth:`SealContext.open` cannot authenticate.  Key separation: independent
 encryption and MAC keys are derived from the session key, and the MAC
 covers ``nonce || associated_data || ciphertext`` with length framing, so
 splicing attacks across fields are detected.
 
 :class:`SealContext` is the amortized per-session form: the enc/MAC key
 derivation and the HMAC key schedule run once when the channel is
-established, not once per message.  The one-shot functions re-derive
-everything per call — identical bytes on the wire (pinned by tests),
-so the two forms interoperate freely.
+established, not once per message.  The one-shot functions build a
+context per call, so the two forms put identical bytes on the wire.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto.hashing import derive_key
-from repro.crypto.mac import HmacKey, hmac_sha256, verify_hmac
+from repro.crypto.mac import HmacKey
 from repro.errors import CryptoError, IntegrityError
 
 __all__ = [
@@ -71,50 +70,13 @@ def _frame(nonce: bytes, associated_data: bytes, ciphertext: bytes) -> bytes:
     )
 
 
-def seal_payload(
-    session_key: bytes,
-    nonce: bytes,
-    plaintext: bytes,
-    associated_data: bytes = b"",
-) -> bytes:
-    """Encrypt-then-MAC.  Returns ``nonce || ciphertext || tag``."""
-    enc_key = derive_key(session_key, "enc")
-    mac_key = derive_key(session_key, "mac")
-    ciphertext = keystream_xor(enc_key, nonce, plaintext)
-    tag = hmac_sha256(mac_key, _frame(nonce, associated_data, ciphertext))
-    return nonce + ciphertext + tag
-
-
-def open_payload(
-    session_key: bytes,
-    sealed: bytes,
-    associated_data: bytes = b"",
-) -> bytes:
-    """Authenticate and decrypt a sealed payload.
-
-    Raises :class:`~repro.errors.IntegrityError` if the tag does not
-    verify — the "data is either delivered unmodified, or an exception is
-    raised" guarantee of section 2.
-    """
-    if len(sealed) < NONCE_SIZE + TAG_SIZE:
-        raise IntegrityError("sealed payload too short")
-    nonce = sealed[:NONCE_SIZE]
-    ciphertext = sealed[NONCE_SIZE:-TAG_SIZE]
-    tag = sealed[-TAG_SIZE:]
-    enc_key = derive_key(session_key, "enc")
-    mac_key = derive_key(session_key, "mac")
-    if not verify_hmac(mac_key, _frame(nonce, associated_data, ciphertext), tag):
-        raise IntegrityError("payload failed authentication (tampered or wrong key)")
-    return keystream_xor(enc_key, nonce, ciphertext)
-
-
 class SealContext:
     """Per-session AEAD context: keys derived once, MAC pads cached.
 
     A secure channel seals every message under the same session key, so
     re-deriving the enc/MAC subkeys and re-absorbing the HMAC key blocks
-    per message was pure overhead.  Output is bit-identical to the
-    one-shot :func:`seal_payload`/:func:`open_payload` pair.
+    per message was pure overhead.  The one-shot
+    :func:`seal_payload`/:func:`open_payload` pair wraps it.
     """
 
     __slots__ = ("_enc_key", "_mac")
@@ -145,3 +107,27 @@ class SealContext:
                 "payload failed authentication (tampered or wrong key)"
             )
         return keystream_xor(self._enc_key, nonce, ciphertext)
+
+
+def seal_payload(
+    session_key: bytes,
+    nonce: bytes,
+    plaintext: bytes,
+    associated_data: bytes = b"",
+) -> bytes:
+    """One-shot :meth:`SealContext.seal`: ``nonce || ciphertext || tag``."""
+    return SealContext(session_key).seal(nonce, plaintext, associated_data)
+
+
+def open_payload(
+    session_key: bytes,
+    sealed: bytes,
+    associated_data: bytes = b"",
+) -> bytes:
+    """One-shot :meth:`SealContext.open`.
+
+    Raises :class:`~repro.errors.IntegrityError` if the tag does not
+    verify — the "data is either delivered unmodified, or an exception is
+    raised" guarantee of section 2.
+    """
+    return SealContext(session_key).open(sealed, associated_data)

@@ -391,7 +391,9 @@ FORCIBLE_REMOVAL_COUNTERS = (
     "agents_killed_crash",
     "agents_killed_drain",
     "agents_killed_lifetime",
+    "agents_killed_runaway",
     "agents_killed_security",
+    "agents_terminated_by_creator",
     "agents_terminated_by_owner",
     "agents_terminated_transfer",
     "agents_failed",
@@ -403,9 +405,9 @@ def healed_conservation_residual(servers: Iterable[Any]) -> Callable[[], int]:
     """The conservation law with forcible removals accounted for.
 
     The base residual counts +1 for every resident a server forcibly
-    removed (crash, drain, lifetime, security, owner command, transfer
-    exhaustion, agent bug): the admission was counted but no departure
-    or completion ever balances it.  Each such removal also bumps
+    removed (crash, drain, lifetime, runaway, security, owner or creator
+    command, transfer exhaustion, agent bug): the admission was counted
+    but no departure or completion ever balances it.  Each such removal also bumps
     exactly one kill counter, and every self-healing relaunch (re-home
     at a survivor, re-home at home, drain fallback) is a fresh
     ``agents_hosted`` admission balanced by its own eventual outcome —

@@ -99,7 +99,6 @@ class AdmissionPolicy:
         max_image_bytes: int = DEFAULT_MAX_IMAGE_BYTES,
         accept_untrusted_code: bool = True,
         max_trace_length: int = 64,
-        credential_cache: CredentialVerificationCache | None = None,
         ring_policy: RingPolicy | None = None,
     ) -> None:
         self.trust_anchor = trust_anchor
@@ -113,11 +112,7 @@ class AdmissionPolicy:
         # An agent chain verified once on this server (signatures + chain
         # structure) is not RSA-verified again on its next arrival; only
         # the time-dependent checks replay.  See repro.credentials.cache.
-        self.credential_cache = (
-            credential_cache
-            if credential_cache is not None
-            else CredentialVerificationCache()
-        )
+        self.credential_cache = CredentialVerificationCache()
         # Opt-in trust tiers; None = everyone is ring 1 (uniform mediation).
         self.ring_policy = ring_policy
         # The server's IntegrityAuthority, attached by AgentServer when

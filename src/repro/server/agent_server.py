@@ -80,8 +80,8 @@ from repro.server.journal import (
     DepartureJournal,
     DepartureRecord,
 )
-from repro.server.membership import FailureDetector, MembershipConfig
-from repro.server.recovery import RecoveryConfig, RecoveryCoordinator
+from repro.server.membership import FailureDetector
+from repro.server.recovery import RecoveryCoordinator
 from repro.server.supervisor import ResourceSupervisor, SupervisorConfig
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import Counter, TimeWeighted
@@ -112,6 +112,10 @@ def _carried_context(image: AgentImage) -> SpanContext | None:
     return SpanContext.from_attributes(image.attributes.get("trace_ctx"))
 
 
+# The retry schedule of an agent's reports home; a report that
+# exhausts it is counted in ``reports_failed``.
+REPORT_RETRY = RetryPolicy(attempts=3, base_delay=0.2, max_delay=5.0)
+
 # The sender counter for each way a resident's own departure can miss;
 # the two failure causes also count in ``transfers_failed``.
 _DEPARTURE_MISS_COUNTERS = {
@@ -138,18 +142,13 @@ class AgentServer:
         admission: AdmissionPolicy | None = None,
         transfer_timeout: float = 60.0,
         transfer_retry: RetryPolicy | None = None,
-        report_retry: RetryPolicy | None = None,
         breaker_failure_threshold: int = 8,
         breaker_reset_timeout: float = 60.0,
-        dedup_capacity: int = 1024,
-        forward_restriction: "Rights | None" = None,
         resident_lifetime_limit: float | None = None,
         audit_capacity: int | None = None,
         supervision: SupervisorConfig | None = None,
         appraisal: bool = True,
-        quarantine_duration: float = 3600.0,
-        membership: MembershipConfig | None = None,
-        recovery: RecoveryConfig | None = None,
+        self_healing: bool = False,
     ) -> None:
         self.name = name
         self.kernel = kernel
@@ -162,21 +161,18 @@ class AgentServer:
         # circuit breakers, the sender-side departure journal (crash
         # recovery) and the receiver-side dedup table (idempotent ATP).
         self.transfer_retry = transfer_retry or RetryPolicy()
-        self.report_retry = report_retry or RetryPolicy(
-            attempts=3, base_delay=0.2, max_delay=5.0
-        )
         self._breaker_failure_threshold = breaker_failure_threshold
         self._breaker_reset_timeout = breaker_reset_timeout
         self._breakers: dict[str, CircuitBreaker] = {}
         self._journal = DepartureJournal()
-        self._transfer_dedup = DedupTable(dedup_capacity)
+        self._transfer_dedup = DedupTable()
         self._transfer_ids = IdGenerator(f"{name}/xfer")
         # Seeded jitter stream, forked once so transfer retries do not
         # perturb the secure-channel nonce stream.
         self._retry_rng = random.Random(rng.getrandbits(64))
         # Section 5.2 subcontracting: when set, every agent this server
         # forwards gets a delegation link attenuating it to this grant.
-        self.forward_restriction = forward_restriction
+        self.forward_restriction: Rights | None = None
         # Section 2's resource-consumption defence: residents still alive
         # after this much virtual time are forcibly terminated.
         self.resident_lifetime_limit = resident_lifetime_limit
@@ -225,7 +221,6 @@ class AgentServer:
                 trust_anchor=trust_anchor,
                 clock=self.clock,
                 rng=random.Random(rng.getrandbits(64)),
-                quarantine_duration=quarantine_duration,
             )
             self.admission.integrity = self.integrity
         # Red-team hook (installed by the fault injector's malicious-host
@@ -289,16 +284,14 @@ class AgentServer:
         )
         self.telemetry.bind(self.secure)
 
-        # Self-healing control plane (opt-in per component): failure
-        # detection over heartbeats, and checkpoint/re-homing recovery.
-        # When both are present, confirmed deaths trigger re-homing.
+        # Self-healing control plane (opt-in): failure detection over
+        # heartbeats, and checkpoint/re-homing recovery.  Confirmed
+        # deaths and flapped peers trigger re-homing.
         self.membership: FailureDetector | None = None
         self.recovery: RecoveryCoordinator | None = None
-        if membership is not None:
-            self.membership = FailureDetector(self, membership)
-        if recovery is not None:
-            self.recovery = RecoveryCoordinator(self, recovery)
-        if self.membership is not None and self.recovery is not None:
+        if self_healing:
+            self.membership = FailureDetector(self)
+            self.recovery = RecoveryCoordinator(self)
             self.membership.on_confirmed_dead(
                 self.recovery.handle_confirmed_dead
             )
@@ -949,7 +942,7 @@ class AgentServer:
             call_with_retries(
                 attempt,
                 kernel=self.kernel,
-                policy=self.report_retry,
+                policy=REPORT_RETRY,
                 rng=self._retry_rng,
                 retry_on=(NetworkError,),
                 on_retry=note_retry,
@@ -1226,7 +1219,6 @@ class AgentServer:
         self._aux_threads.clear()
         if self.membership is not None:
             self.membership.stop()
-        if self.recovery is not None:
             self.recovery.stop()
         if self.supervisor is not None:
             self.supervisor.on_crash()
@@ -1249,7 +1241,6 @@ class AgentServer:
             # believe heartbeats carrying a *higher* incarnation.
             self.membership.bump_incarnation()
             self.membership.start()
-        if self.recovery is not None:
             self.recovery.start()
         if self.supervisor is not None:
             # Re-validate surviving leases from the domain database and

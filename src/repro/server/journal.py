@@ -45,10 +45,15 @@ __all__ = [
 ]
 
 
+# Receiver-side transfer ids an agent server remembers, with their
+# cached replies, so a re-offered transfer is answered, not re-admitted.
+DEDUP_CAPACITY = 1024
+
+
 class DedupTable:
     """Bounded LRU map of transfer id → cached encoded reply."""
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int = DEDUP_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("dedup table capacity must be positive")
         self.capacity = capacity

@@ -11,8 +11,8 @@ self-healing control plane starts by noticing when one does not.  Every
   a composite **load score** (residents + in-flight departures + pending
   relaunch offers — the placement scorer's input) and a *draining* flag;
 * maintains a per-peer membership view driven by a kernel daemon sweep:
-  ``alive`` → ``suspected`` (no heartbeat for ``suspect_after``) →
-  ``confirmed-dead`` (silent for ``confirm_after``), at which point the
+  ``alive`` → ``suspected`` (no heartbeat for ``SUSPECT_AFTER``) →
+  ``confirmed-dead`` (silent for ``CONFIRM_AFTER``), at which point the
   registered ``on_confirmed_dead`` callbacks fire (the recovery
   coordinator re-homes the dead server's checkpointed agents);
 * is **flap-safe** via incarnations: a peer confirmed dead at
@@ -23,7 +23,7 @@ self-healing control plane starts by noticing when one does not.  Every
   mechanisms let a healed symmetric partition — both sides believing the
   other dead — reconverge without an operator: confirmed-dead peers
   still receive occasional *rejoin probes* (every
-  ``dead_probe_every``-th round), and each heartbeat gossips the
+  ``DEAD_PROBE_EVERY``-th round), and each heartbeat gossips the
   sender's verdict on the *receiver* ("you are dead to me at
   incarnation *k*"), which the receiver refutes by bumping its own
   incarnation past *k*.
@@ -49,7 +49,6 @@ __all__ = [
     "ALIVE",
     "SUSPECTED",
     "CONFIRMED_DEAD",
-    "MembershipConfig",
     "PeerView",
     "FailureDetector",
 ]
@@ -63,41 +62,25 @@ SUSPECTED = "suspected"
 CONFIRMED_DEAD = "confirmed-dead"
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipConfig:
-    """Failure-detector knobs, all in virtual seconds.
-
-    ``suspect_after`` and ``confirm_after`` are silence thresholds
-    measured from the last heartbeat received (or from :meth:`start`,
-    so freshly joined peers get a grace period rather than being born
-    suspect).  ``heartbeat_timeout`` bounds the secure-channel handshake
-    to an unresponsive peer so one dead host cannot stall a whole
-    heartbeat round for the default 30s connect timeout.
-    """
-
-    heartbeat_period: float = 2.0
-    suspect_after: float = 5.0
-    confirm_after: float = 10.0
-    sweep_period: float = 1.0
-    heartbeat_timeout: float = 2.0
-    # Confirmed-dead peers are still probed every Nth round (rejoin
-    # probes): after a symmetric partition heals, both sides believe
-    # the other dead, and without an occasional corpse-directed
-    # heartbeat a restarted peer's higher incarnation could never reach
-    # anyone — permanent mutual death.  Every round would work too, but
-    # each truly dead peer then costs a connect timeout per round.
-    dead_probe_every: int = 5
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_period <= 0 or self.sweep_period <= 0:
-            raise ReproError("membership periods must be positive")
-        if self.dead_probe_every < 1:
-            raise ReproError("dead_probe_every must be >= 1")
-        if not 0 < self.suspect_after < self.confirm_after:
-            raise ReproError(
-                "need 0 < suspect_after < confirm_after "
-                f"(got {self.suspect_after}, {self.confirm_after})"
-            )
+# Failure-detector timing, all in virtual seconds.  The silence
+# thresholds are measured from the last heartbeat received (or from
+# :meth:`FailureDetector.start`, so freshly joined peers get a grace
+# period rather than being born suspect).
+HEARTBEAT_PERIOD = 2.0
+SUSPECT_AFTER = 5.0
+CONFIRM_AFTER = 10.0
+SWEEP_PERIOD = 1.0
+# Bounds the secure-channel handshake to an unresponsive peer so one
+# dead host cannot stall a whole heartbeat round for the default 30s
+# connect timeout.
+HEARTBEAT_TIMEOUT = 2.0
+# Confirmed-dead peers are still probed every Nth round (rejoin
+# probes): after a symmetric partition heals, both sides believe the
+# other dead, and without an occasional corpse-directed heartbeat a
+# restarted peer's higher incarnation could never reach anyone —
+# permanent mutual death.  Every round would work too, but each truly
+# dead peer then costs a connect timeout per round.
+DEAD_PROBE_EVERY = 5
 
 
 @dataclass(slots=True)
@@ -125,9 +108,8 @@ class FailureDetector:
     real crash would).
     """
 
-    def __init__(self, server: Any, config: MembershipConfig | None = None) -> None:
+    def __init__(self, server: Any) -> None:
         self.server = server
-        self.config = config or MembershipConfig()
         self.kernel = server.kernel
         self.clock = server.clock
         self.stats = Counter()
@@ -144,23 +126,20 @@ class FailureDetector:
         # (virtual time, event, peer) transition log for tests/benches.
         self.log: list[tuple[float, str, str]] = []
         server.secure.bind_app(HEARTBEAT_APP_KIND, self._on_heartbeat)
-        telemetry = getattr(server, "telemetry", None)
-        if telemetry is not None:
-            telemetry.register_source("membership", self.stats)
-            telemetry.gauge(
-                "membership.alive", fn=lambda: float(self._count(ALIVE))
-            )
-            telemetry.gauge(
-                "membership.suspected",
-                fn=lambda: float(self._count(SUSPECTED)),
-            )
-            telemetry.gauge(
-                "membership.dead",
-                fn=lambda: float(self._count(CONFIRMED_DEAD)),
-            )
-            telemetry.gauge(
-                "membership.incarnation", fn=lambda: float(self.incarnation)
-            )
+        telemetry = server.telemetry
+        telemetry.register_source("membership", self.stats)
+        telemetry.gauge(
+            "membership.alive", fn=lambda: float(self._count(ALIVE))
+        )
+        telemetry.gauge(
+            "membership.suspected", fn=lambda: float(self._count(SUSPECTED))
+        )
+        telemetry.gauge(
+            "membership.dead", fn=lambda: float(self._count(CONFIRMED_DEAD))
+        )
+        telemetry.gauge(
+            "membership.incarnation", fn=lambda: float(self.incarnation)
+        )
 
     # -- wiring ----------------------------------------------------------------
 
@@ -215,10 +194,10 @@ class FailureDetector:
                 if view.state is not CONFIRMED_DEAD:
                     view.last_seen = max(view.last_seen, now)
             self._hb_ticker = self.kernel.every(
-                self.config.heartbeat_period, self._heartbeat_tick, daemon=True
+                HEARTBEAT_PERIOD, self._heartbeat_tick, daemon=True
             )
             self._sweep_ticker = self.kernel.every(
-                self.config.sweep_period, self._sweep, daemon=True
+                SWEEP_PERIOD, self._sweep, daemon=True
             )
 
     def stop(self) -> None:
@@ -286,11 +265,11 @@ class FailureDetector:
         offers (the recovery coordinator's queue depth).
         """
         server = self.server
-        load = float(len(server._threads)) + float(len(server._journal))
-        recovery = getattr(server, "recovery", None)
-        if recovery is not None:
-            load += float(recovery.queue_depth())
-        return load
+        return (
+            float(len(server._threads))
+            + float(len(server._journal))
+            + float(server.recovery.queue_depth())
+        )
 
     def _heartbeat_tick(self) -> None:
         # Kernel context: spawn one aux thread per round; skip the round
@@ -300,7 +279,7 @@ class FailureDetector:
             self.stats.add("heartbeat_rounds_skipped")
             return
         self._round_no += 1
-        probe_dead = self._round_no % self.config.dead_probe_every == 0
+        probe_dead = self._round_no % DEAD_PROBE_EVERY == 0
         targets = [
             name
             for name, view in self._views.items()
@@ -335,7 +314,7 @@ class FailureDetector:
             )
             try:
                 channel = self.server.secure.connect(
-                    peer, timeout=self.config.heartbeat_timeout
+                    peer, timeout=HEARTBEAT_TIMEOUT
                 )
                 channel.send(HEARTBEAT_APP_KIND, body)
                 self.stats.add("heartbeats_sent")
@@ -403,10 +382,10 @@ class FailureDetector:
         self.stats.add("sweeps")
         for view in self._views.values():
             silent = now - view.last_seen
-            if view.state == ALIVE and silent >= self.config.suspect_after:
+            if view.state == ALIVE and silent >= SUSPECT_AFTER:
                 self.stats.add("suspicions")
                 self._transition(view, SUSPECTED, now)
-            if view.state == SUSPECTED and silent >= self.config.confirm_after:
+            if view.state == SUSPECTED and silent >= CONFIRM_AFTER:
                 self.stats.add("deaths_confirmed")
                 self._transition(view, CONFIRMED_DEAD, now)
                 self.server.audit.record(

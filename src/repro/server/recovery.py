@@ -52,7 +52,6 @@ vetoes the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.agents.transfer import AgentImage
@@ -66,33 +65,24 @@ from repro.naming.urn import URN
 from repro.sim.monitor import Counter
 from repro.util.serialization import canonical_digest, decode, encode
 
-__all__ = ["CHECKPOINT_APP_KIND", "RecoveryConfig", "RecoveryCoordinator"]
+__all__ = ["CHECKPOINT_APP_KIND", "RecoveryCoordinator"]
 
 # The one-way secure-channel application kind checkpoint traffic rides.
 CHECKPOINT_APP_KIND = "cluster.checkpoint"
 
-
-@dataclass(frozen=True, slots=True)
-class RecoveryConfig:
-    """Recovery-plane knobs.
-
-    ``checkpoint_period`` is the daemon-tick refresh interval for live
-    residents (``None`` disables the tick — checkpoints then happen only
-    at hop boundaries, i.e. on admission).  ``checkpoint_timeout``
-    bounds the secure-channel handshake for a push to an unreachable
-    home site.
-    """
-
-    checkpoint_period: float | None = 5.0
-    checkpoint_timeout: float = 5.0
+# The daemon-tick refresh interval for live residents, in virtual
+# seconds; checkpoints also happen at every hop boundary (admission).
+CHECKPOINT_PERIOD = 5.0
+# Bounds the secure-channel handshake for a push to (or a probe of) an
+# unreachable host.
+CHECKPOINT_TIMEOUT = 5.0
 
 
 class RecoveryCoordinator:
     """One server's checkpoint pusher + (as a home site) re-homer."""
 
-    def __init__(self, server: Any, config: RecoveryConfig | None = None) -> None:
+    def __init__(self, server: Any) -> None:
         self.server = server
-        self.config = config or RecoveryConfig()
         self.kernel = server.kernel
         self.clock = server.clock
         self.stats = Counter()
@@ -110,21 +100,17 @@ class RecoveryCoordinator:
         # successful re-home — detection-to-relaunch latency reporting.
         self.rehome_log: list[dict[str, Any]] = []
         server.secure.bind_app(CHECKPOINT_APP_KIND, self._on_checkpoint)
-        telemetry = getattr(server, "telemetry", None)
-        if telemetry is not None:
-            telemetry.register_source("recovery", self.stats)
-            telemetry.gauge(
-                "recovery.checkpoints", fn=lambda: float(len(self.store))
-            )
+        server.telemetry.register_source("recovery", self.stats)
+        server.telemetry.gauge(
+            "recovery.checkpoints", fn=lambda: float(len(self.store))
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        if self.config.checkpoint_period is None:
-            return
         if self._ticker is None or self._ticker.cancelled:
             self._ticker = self.kernel.every(
-                self.config.checkpoint_period, self._checkpoint_tick, daemon=True
+                CHECKPOINT_PERIOD, self._checkpoint_tick, daemon=True
             )
 
     def stop(self) -> None:
@@ -244,9 +230,7 @@ class RecoveryCoordinator:
         while self._outbox:
             home, key, body = self._outbox.pop(0)
             try:
-                channel = server.secure.connect(
-                    home, timeout=self.config.checkpoint_timeout
-                )
+                channel = server.secure.connect(home, timeout=CHECKPOINT_TIMEOUT)
                 channel.send(CHECKPOINT_APP_KIND, body)
                 self.stats.add("pushes_sent")
             except (NetworkError, ReproError):
@@ -433,14 +417,12 @@ class RecoveryCoordinator:
         for checkpoint in orphans:
             try:
                 try:
-                    channel = server.secure.connect(
-                        peer, timeout=self.config.checkpoint_timeout
-                    )
+                    channel = server.secure.connect(peer, timeout=CHECKPOINT_TIMEOUT)
                     reply = decode(
                         channel.call(
                             CHECKPOINT_APP_KIND,
                             encode({"op": "probe", "agent": checkpoint.agent}),
-                            timeout=self.config.checkpoint_timeout,
+                            timeout=CHECKPOINT_TIMEOUT,
                         )
                     )
                     state = reply.get("state")

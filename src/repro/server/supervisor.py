@@ -617,8 +617,11 @@ class ResourceSupervisor:
                 if domain_id in server.domain_db:
                     server.domain_db.set_status(domain_id, "terminated")
         self.forget_domain(domain_id)
-        self.stats.add("agents_killed_runaway")
-        server.stats.add("agents_killed_runaway")
+        if killed:
+            # Counted only when this kill removed the resident: one that
+            # already retired through its own exit is counted there.
+            self.stats.add("agents_killed_runaway")
+            server.stats.add("agents_killed_runaway")
         server.audit.record(
             domain_id, "agent.runaway_kill", "", False,
             f"{reason}; {revoked} grant(s) revoked",

@@ -68,9 +68,7 @@ class Testbed:
         ns_retry: Any | None = None,
         ns_breaker_threshold: int = 3,
         ns_breaker_reset: float = 15.0,
-        supervision: Any | None = None,
         self_healing: bool = False,
-        membership_config: Any | None = None,
     ) -> None:
         if n_servers < 1:
             raise ValueError("need at least one server")
@@ -106,25 +104,11 @@ class Testbed:
         # tests never come near this, and callers can override (None =
         # unlimited, the AgentServer default).
         self._server_kwargs.setdefault("audit_capacity", 100_000)
-        # Convenience: a SupervisorConfig here puts every server under
-        # resource supervision (equivalent to server_kwargs["supervision"]).
-        if supervision is not None:
-            self._server_kwargs.setdefault("supervision", supervision)
         # Self-healing control plane: heartbeat failure detection plus
-        # checkpoint/re-homing on every server.  ``self_healing=True``
-        # takes the defaults (server_kwargs["recovery"] overrides the
-        # RecoveryConfig); a MembershipConfig alone arms detection only.
-        self._self_healing = bool(self_healing or membership_config is not None)
-        if self._self_healing:
-            from repro.server.membership import MembershipConfig
-
-            self._server_kwargs.setdefault(
-                "membership", membership_config or MembershipConfig()
-            )
-        if self_healing:
-            from repro.server.recovery import RecoveryConfig
-
-            self._server_kwargs.setdefault("recovery", RecoveryConfig())
+        # checkpoint/re-homing on every server.
+        self._self_healing = self._server_kwargs.setdefault(
+            "self_healing", self_healing
+        )
         # The world's metrics: every host's telemetry registry folded at
         # read time, plus world-level sources and hook-fed instruments.
         self.metrics = MetricsRegistry()
@@ -154,7 +138,6 @@ class Testbed:
                     [n for n in names if n != server.name]
                 )
                 server.membership.start()
-            if server.recovery is not None:
                 server.recovery.start()
         if replicated_name_service:
             # Every replica hangs off every server (clients talk to any

@@ -43,9 +43,9 @@ def leased_buffer() -> Buffer:
 def supervised_bed(lease: float = 50.0) -> Testbed:
     bed = Testbed(
         1,
-        supervision=SupervisorConfig(
+        server_kwargs={"supervision": SupervisorConfig(
             lease_duration=lease, invoke_deadline=None
-        ),
+        )},
     )
     bed.home.install_resource(leased_buffer())
     return bed
@@ -164,7 +164,9 @@ def test_policy_lifetime_takes_precedence_over_default_lease():
     # only fills in when the policy says nothing.
     bed = Testbed(
         1,
-        supervision=SupervisorConfig(lease_duration=500.0, invoke_deadline=None),
+        server_kwargs={"supervision": SupervisorConfig(
+            lease_duration=500.0, invoke_deadline=None
+        )},
     )
     policy = SecurityPolicy(
         rules=[PolicyRule("any", "*", Rights.of("Buffer.*"), confine=False,

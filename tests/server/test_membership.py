@@ -10,20 +10,15 @@ a healed partition does not resurrect a peer that never restarted).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ReproError
-from repro.server.membership import MembershipConfig
 from repro.server.testbed import Testbed
 from repro.util.retry import RetryPolicy
 
 
-def bed_of(n=3, seed=51, **membership):
+def bed_of(n=3, seed=51):
     return Testbed(
         n,
         seed=seed,
         self_healing=True,
-        membership_config=MembershipConfig(**membership) if membership else None,
         server_kwargs={
             "transfer_timeout": 5.0,
             "transfer_retry": RetryPolicy(
@@ -144,12 +139,3 @@ def test_load_and_draining_are_gossiped():
     assert observer.membership.is_draining(target.name)
     assert not observer.membership.is_draining(bed.servers[2].name)
     assert observer.membership.load_of(target.name) == 0.0
-
-
-def test_config_validation():
-    with pytest.raises(ReproError):
-        MembershipConfig(heartbeat_period=0.0)
-    with pytest.raises(ReproError):
-        MembershipConfig(suspect_after=12.0, confirm_after=6.0)
-    with pytest.raises(ReproError):
-        MembershipConfig(dead_probe_every=0)

@@ -130,7 +130,9 @@ class TrustedWorker(Agent):
 
 
 def test_ring0_skips_audit_but_not_supervision_gates():
-    bed = Testbed(1, supervision=SupervisorConfig(domain_grant_quota=1))
+    bed = Testbed(
+        1, server_kwargs={"supervision": SupervisorConfig(domain_grant_quota=1)}
+    )
     bed.home.admission.ring_policy = RingPolicy(
         trusted_owners=(str(bed.owner),)
     )

@@ -19,6 +19,8 @@ import pytest
 
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.apps.buffer import Buffer
+from repro.apps.database import QueryStore
+from repro.core.accounting import Tariff
 from repro.core.policy import PolicyRule, SecurityPolicy
 from repro.credentials.rights import Rights
 from repro.errors import (
@@ -29,6 +31,7 @@ from repro.errors import (
     SupervisionError,
 )
 from repro.naming.urn import URN
+from repro.obs.slo import healed_conservation_residual
 from repro.server.supervisor import SupervisorConfig
 from repro.server.testbed import Testbed
 
@@ -36,6 +39,7 @@ STRESS_SEED = int(os.environ.get("REPRO_STRESS_SEED", "1000"))
 
 WEDGY = "urn:resource:site0.net/wedgy"
 STEADY = "urn:resource:site0.net/steady"
+METERED = "urn:resource:site0.net/metered"
 OWNER = URN.parse("urn:principal:site0.net/o")
 
 # Agents report through module-level scratch (reset per test).
@@ -147,7 +151,9 @@ def scenario_config() -> SupervisorConfig:
 
 
 def test_wedged_resource_and_runaway_are_contained():
-    bed = Testbed(1, seed=STRESS_SEED, supervision=scenario_config())
+    bed = Testbed(
+        1, seed=STRESS_SEED, server_kwargs={"supervision": scenario_config()}
+    )
     bed.home.install_resource(make_buffer(WEDGY))
     bed.home.install_resource(make_buffer(STEADY))
     # The wedge: every call on the resource parks its invoker far past
@@ -190,6 +196,8 @@ def test_wedged_resource_and_runaway_are_contained():
     record = bed.home.domain_db.by_agent(runaway.name)
     assert record.bindings
     assert all(b.proxy.proxy_info()["revoked"] for b in record.bindings)
+    # The kill is a counted removal: the books still balance.
+    assert healed_conservation_residual(bed.servers)() == 0
 
     # Mid-window callers were shed fast with structured context.
     assert OUTCOMES["witness"] == "quarantined"
@@ -211,13 +219,97 @@ def test_wedged_resource_and_runaway_are_contained():
     assert "resource_fault_begin" in kinds and "resource_fault_end" in kinds
 
 
+@register_trusted_agent_class
+class SpendthriftAgent(Agent):
+    """Buys one metered query a second, well past its budget."""
+
+    def run(self):
+        store = self.host.get_resource(METERED)
+        for i in range(10):
+            store.query("*")
+            # Still running, grants intact, after the call that crossed
+            # the budget: the kill must not land inline, inside the call.
+            OUTCOMES["paid_calls"] = i + 1
+            OUTCOMES["revoked_on_return"] = store.proxy_info()["revoked"]
+            self.host.sleep(1.0)
+        self.complete("never over budget")
+
+
+@register_trusted_agent_class
+class LastCallSpender(Agent):
+    """Crosses the budget on its last call and completes at once."""
+
+    def run(self):
+        store = self.host.get_resource(METERED)
+        for _ in range(3):
+            store.query("*")
+        self.complete("done")
+
+
+def metered_testbed() -> Testbed:
+    config = SupervisorConfig(
+        lease_duration=None, invoke_deadline=None, runaway_budget=1.0
+    )
+    bed = Testbed(
+        1, seed=STRESS_SEED, server_kwargs={"supervision": config}
+    )
+    policy = SecurityPolicy(
+        rules=[PolicyRule("any", "*", Rights.all(), metered=True,
+                          confine=False)]
+    )
+    bed.home.install_resource(QueryStore(
+        URN.parse(METERED), OWNER, policy, initial={"k": 1},
+        tariff=Tariff.of({"query": 0.5}),
+    ))
+    return bed
+
+
+def test_blown_metered_budget_kills_the_agent_at_its_next_blocking_point():
+    bed = metered_testbed()
+    image = bed.launch(SpendthriftAgent(), Rights.all(), agent_local="spender")
+    bed.run(detect_deadlock=False)
+
+    # Calls at t=0, 1, 2 charge 0.5 each: the third crosses the 1.0
+    # budget, returns to the agent, and the kill lands at the sleep
+    # right after it — no fourth call is ever made.
+    assert OUTCOMES["paid_calls"] == 3
+    assert OUTCOMES["revoked_on_return"] is False
+    assert bed.home.resident_status(image.name)["status"] == "terminated"
+    supervisor = bed.home.supervisor
+    assert supervisor.stats["agents_killed_runaway"] == 1
+    assert bed.home.stats["agents_killed_runaway"] == 1
+    [kill] = bed.home.audit.records(operation="agent.runaway_kill")
+    assert not kill.allowed
+    assert "charges 1.50 exceeded budget 1.00" in kill.detail
+    assert kill.time == 2.0
+
+    # Every grant the agent held was revoked with it.
+    record = bed.home.domain_db.by_agent(image.name)
+    assert record.bindings
+    assert all(b.proxy.proxy_info()["revoked"] for b in record.bindings)
+    assert healed_conservation_residual(bed.servers)() == 0
+
+
+def test_runaway_kill_of_an_already_finished_agent_is_not_counted():
+    # The budget kill is scheduled off-thread; an agent that completes
+    # before it lands already left through its own exit, so counting
+    # the kill too would subtract that agent twice.
+    bed = metered_testbed()
+    bed.launch(LastCallSpender(), Rights.all(), agent_local="last-call")
+    bed.run(detect_deadlock=False)
+    assert bed.home.stats["agents_completed"] == 1
+    assert bed.home.stats["agents_killed_runaway"] == 0
+    assert bed.home.supervisor.stats["agents_killed_runaway"] == 0
+    assert healed_conservation_residual(bed.servers)() == 0
+
+
 # ---------------------------------------------------------------------------
 # Guard mechanics (driven directly, no agents needed)
 # ---------------------------------------------------------------------------
 
 
 def guarded_testbed(config: SupervisorConfig) -> Testbed:
-    bed = Testbed(1, supervision=config)
+    bed = Testbed(1, server_kwargs={"supervision": config})
     bed.home.install_resource(make_buffer(STEADY))
     return bed
 

@@ -10,6 +10,7 @@ from repro.credentials.credentials import Credentials
 from repro.credentials.delegation import DelegatedCredentials
 from repro.credentials.rights import Rights
 from repro.naming.urn import URN
+from repro.obs.slo import healed_conservation_residual
 from repro.server.testbed import Testbed
 
 
@@ -69,6 +70,8 @@ def test_creator_can_terminate_its_child():
     assert timeline == ["running", ("killed", True), "terminated"]
     assert bed.servers[1].stats["agents_terminated_by_creator"] == 1
     assert bed.clock.now() < 10_000.0  # the child never finished its nap
+    # The audited removal balances the books: nothing reads as lost.
+    assert healed_conservation_residual(bed.servers)() == 0
 
 
 def test_non_creator_cannot_terminate():

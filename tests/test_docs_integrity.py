@@ -96,18 +96,31 @@ def test_design_bench_targets_exist():
         assert (ROOT / "benchmarks" / match.group(1)).is_file(), match.group(0)
 
 
-def test_api_testbed_row_matches_the_signature():
-    """The ``Testbed(...)`` row in docs/api.md lists every constructor
-    parameter, and nothing the constructor no longer takes."""
-    from repro.server.testbed import Testbed
+API_CONSTRUCTORS = {
+    "Testbed": "repro.server.testbed",
+    "AgentServer": "repro.server.agent_server",
+    "AdmissionPolicy": "repro.server.admission",
+    "ReplicaNameHost": "repro.naming.replicated",
+    "IntegrityAuthority": "repro.agents.integrity",
+}
 
+
+@pytest.mark.parametrize("name", sorted(API_CONSTRUCTORS))
+def test_api_constructor_row_matches_the_signature(name):
+    """The ``Name(...)`` row in docs/api.md lists every constructor
+    parameter, and nothing the constructor no longer takes."""
+    cls = getattr(importlib.import_module(API_CONSTRUCTORS[name]), name)
     api = (ROOT / "docs" / "api.md").read_text()
-    match = re.search(r"^\| `Testbed\((n_servers[^`]*)\)` \|", api, re.M)
-    assert match, "docs/api.md has no Testbed(n_servers, ...) row"
+    # The full row: an optional dotted prefix, and an argument list
+    # that does not open with ``...`` (a feature row's elision).
+    match = re.search(
+        rf"^\| `(?:[\w.]+\.)?{name}\(([^`.][^`]*)\)` \|", api, re.M
+    )
+    assert match, f"docs/api.md has no full {name}(...) row"
     documented = [arg.split("=")[0].strip() for arg in match.group(1).split(",")]
     actual = [
-        name for name in inspect.signature(Testbed.__init__).parameters
-        if name != "self"
+        param for param in inspect.signature(cls.__init__).parameters
+        if param != "self"
     ]
     assert sorted(documented) == sorted(actual)
 
@@ -130,7 +143,7 @@ def test_source_prefix_catalogue_matches_a_full_world():
     documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
     bed = Testbed(
         2,
-        supervision=SupervisorConfig(),
+        server_kwargs={"supervision": SupervisorConfig()},
         self_healing=True,
         replicated_name_service=True,
     )
