@@ -13,7 +13,7 @@ Run:  python examples/traced_tour.py [output-dir]
 Writes to the output dir (default: a fresh temp dir):
   trace.json   Chrome trace-event file (load in chrome://tracing or Perfetto)
   trace.jsonl  one finished span per line, for ad-hoc jq/grep analysis
-  scrape.txt   the unified metrics registry, flattened to text
+  scrape.txt   every host's counters, flattened to text
 
 Exits non-zero if any span is left unclosed — CI runs this as the
 tracing smoke test.
@@ -68,7 +68,6 @@ def main() -> None:
         },
     )
     recorder = bed.start_tracing()
-    bed.start_metrics()
     # Extra adversity on the first leg, annotated into the trace.
     bed.faults().loss_burst(bed.home.name, bed.servers[1].name,
                             at=0.0, duration=5.0, loss_rate=0.5)

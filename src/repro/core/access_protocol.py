@@ -228,8 +228,6 @@ class AccessProtocol:
                 reason = grant.deny_reason()
                 span.set_attribute("deny_rules", list(grant.matched_rules))
                 span.set_status("error", reason)
-                if _obs.METRICS_ON:
-                    _obs.METRICS.inc("proxy_grants_denied", resource=target)
                 if context.audit is not None:
                     context.audit.record(
                         context.domain_id, "resource.get_proxy", target, False,
@@ -280,8 +278,6 @@ class AccessProtocol:
                 # and cannot ride in a bearer token, so metered re-binds always
                 # take the full path.
                 self._attach_token(proxy, grantee_urn, credentials, context)
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("proxy_grants_issued", resource=target)
             if context.audit is not None:
                 context.audit.record(
                     context.domain_id, "resource.get_proxy", target, True,
@@ -350,10 +346,6 @@ class AccessProtocol:
         """
         target = type(self).__name__
         if str(credentials.agent) != token.grantee:
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc(
-                    "capability_redeem_misses", resource=target, reason="theft"
-                )
             if context.audit is not None:
                 context.audit.record(
                     context.domain_id, "resource.redeem_token", target, False,
@@ -374,10 +366,6 @@ class AccessProtocol:
             or token.iface_digest != interface_digest(type(self))
             or not authority.is_fresh(token, context.clock.now())
         ):
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc(
-                    "capability_redeem_misses", resource=target, reason="stale"
-                )
             return self.get_proxy(credentials, context)
         guard = self._supervision
         if guard is not None:
@@ -417,8 +405,6 @@ class AccessProtocol:
         bucket.holders.add(token.grantee)
         if context.server_domain_id not in self._proxy_admin_domains:
             self._proxy_admin_domains |= {context.server_domain_id}
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_redeem_hits", resource=target)
         if context.audit is not None:
             context.audit.record(
                 context.domain_id, "resource.redeem_token", target, True,
@@ -540,10 +526,6 @@ def _refresh_proxy_token(proxy: ResourceProxy, method: str) -> None:
     resource = proxy._ref
     credentials = proxy._credentials
     old = proxy._token
-    if _obs.METRICS_ON:
-        _obs.METRICS.inc(
-            "capability_tokens_refreshed", resource=proxy._target_name
-        )
     grant = resource._grant_for(credentials)
     if not grant.enabled or grant.metered:
         proxy._revoked = True

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 from repro.crypto.mac import HmacKey
 from repro.errors import TokenInvalidError
-from repro.obs import runtime as _obs
 
 # The ring constants live with the protection domain they describe; this
 # module re-exports them next to the tokens whose dispatch they select.
@@ -189,16 +188,12 @@ class EpochRegistry:
         """Invalidate every outstanding token minted to ``grantee``."""
         cell = self._cell(self._holders, grantee)
         cell.value += 1
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_epoch_bumps", kind="holder")
         return cell.value
 
     def bump_resource(self, resource: str) -> int:
         """Invalidate every outstanding token minted for ``resource``."""
         cell = self._cell(self._resources, resource)
         cell.value += 1
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_epoch_bumps", kind="resource")
         return cell.value
 
 
@@ -391,8 +386,6 @@ class TokenAuthority:
         )
         self._remember(tag, packed)
         self.stats["minted"] += 1
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_tokens_minted", resource=resource_kind)
         return token
 
     def _remember(self, tag: bytes, packed: bytes) -> None:
@@ -416,8 +409,6 @@ class TokenAuthority:
             return packed
         if not self._mac.verify(packed, token.tag):
             self.stats["rejected"] += 1
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("capability_tokens_rejected", reason="mac")
             raise TokenInvalidError(
                 f"capability token for {token.resource} failed authentication"
             )
@@ -437,13 +428,9 @@ class TokenAuthority:
             != token.resource_epoch
         ):
             self.stats["stale_epoch"] += 1
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("capability_tokens_stale", reason="epoch")
             return False
         if token.expires_at is not None and now > token.expires_at:
             self.stats["stale_expired"] += 1
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("capability_tokens_stale", reason="expired")
             return False
         return True
 

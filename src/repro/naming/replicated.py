@@ -762,10 +762,9 @@ class ReplicatedNameClient:
         network, so the update runs in a short-lived thread.  A relocation
         that silently never lands would strand every later ``env.locate``
         of the agent, so a failure (a) bumps ``relocate_failed`` on this
-        client, (b) increments the global ``ns_relocate_failed`` metric
-        when a metrics registry is installed, (c) writes an
-        ``ns.relocate_async`` record to the hosting server's ``audit``
-        log, and (d) only then invokes ``on_fail``.
+        client, (b) writes an ``ns.relocate_async`` record to the hosting
+        server's ``audit`` log, and (c) only then invokes ``on_fail``
+        (the server bumps its own ``ns_relocate_failed``).
         """
 
         def body() -> None:
@@ -773,8 +772,6 @@ class ReplicatedNameClient:
                 self.relocate(name, token, new_location)
             except ReproError as exc:
                 self.stats.add("relocate_failed")
-                if _obs.METRICS_ON:
-                    _obs.METRICS.inc("ns_relocate_failed")
                 audit.record(
                     str(name), "ns.relocate_async", new_location, False,
                     f"lost relocation to {new_location}: "

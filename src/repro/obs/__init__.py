@@ -6,17 +6,18 @@ Three pillars (see ``docs/observability.md``):
   spans whose context **propagates across agent migration** (carried in
   ``AgentImage.attributes`` like ``transfer_id``), exported as JSONL or
   Chrome trace-event JSON.
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
-  (counters, gauges, log-bucket histograms) that also absorbs the
-  legacy per-object stat counters behind one labeled namespace.
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters,
+  gauges, log-bucket histograms): each host's telemetry unit registers
+  its components' ``Counter`` stats behind one labeled namespace, and a
+  testbed's world view folds every host's registry.
 * :mod:`repro.obs.recorder` — :class:`FlightRecorder`, the query and
   assertion API over a tracer (``trace_of``, ``spans_where``, causal
   order checks, Fig. 6 protocol reconstruction, span-leak checks).
 
-Instrumentation hooks across the codebase are no-ops until
-:func:`install` flips the module-level flags in
-:mod:`repro.obs.runtime`; the convenient way in is
-``Testbed.start_tracing()``.
+Tracing hooks across the codebase are no-ops until :func:`install`
+flips the module-level ``TRACING`` flag in :mod:`repro.obs.runtime`;
+the convenient way in is ``Testbed.start_tracing()``.  Metrics need no
+switch: counters are always on and read at scrape time.
 """
 
 from repro.obs.aggregate import (

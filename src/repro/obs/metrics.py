@@ -6,8 +6,8 @@ the one counter type in the package.  :class:`MetricsRegistry` pulls
 them behind one namespace without touching their hot paths: a
 registered *source* is read lazily at :meth:`~MetricsRegistry.flatten`
 time (zero per-increment cost).  Its own labelled counters, gauges and
-histograms are for instrumentation with no owning object (proxy
-invocation latency, deny counts).  A registry can also fold other
+histograms hold what a host's telemetry unit samples and what the
+cluster collector merges from its scrapes.  A registry can also fold other
 registries at read time (:meth:`~MetricsRegistry.include`): the
 testbed's world view is every host's telemetry registry plus its own.
 

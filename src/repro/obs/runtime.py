@@ -19,7 +19,7 @@ stay behind the flag::
     if _obs.TRACING:
         _obs.TRACER.add_event("retry", attempt=n)
 
-``install``/``uninstall`` flip the flags; they are process-global on
+``install``/``uninstall`` flip the flag; it is process-global on
 purpose (one simulation per process is the norm everywhere in this
 repo), and tests that enable tracing must uninstall on the way out (see
 ``tests/obs/conftest.py``).
@@ -30,59 +30,38 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Span, SpanContext, Tracer
 
 __all__ = [
     "TRACING",
-    "METRICS_ON",
-    "ENABLED",
     "TRACER",
-    "METRICS",
     "install",
     "uninstall",
     "span",
     "annotate",
 ]
 
-# The fast-path guards.  ENABLED == (TRACING or METRICS_ON); sites that
-# feed both systems test the single combined flag.
+# The fast-path guard: ``TRACING == (TRACER is not None)``.
 TRACING: bool = False
-METRICS_ON: bool = False
-ENABLED: bool = False
 
 TRACER: "Tracer | None" = None
-METRICS: "MetricsRegistry | None" = None
 
 
-def install(
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> None:
-    """Turn instrumentation on (either subsystem may be None).
+def install(tracer: "Tracer") -> None:
+    """Turn tracing on: every hook reports to ``tracer``.
 
-    Calling ``install`` again replaces whichever components are passed
-    and leaves the other untouched, so a testbed can install metrics at
-    construction and a tracer later.
+    Calling ``install`` again replaces the tracer.
     """
-    global TRACER, METRICS, TRACING, METRICS_ON, ENABLED
-    if tracer is not None:
-        TRACER = tracer
-    if metrics is not None:
-        METRICS = metrics
-    TRACING = TRACER is not None
-    METRICS_ON = METRICS is not None
-    ENABLED = TRACING or METRICS_ON
+    global TRACER, TRACING
+    TRACER = tracer
+    TRACING = True
 
 
 def uninstall() -> None:
-    """Turn every hook back into a no-op (drops the installed objects)."""
-    global TRACER, METRICS, TRACING, METRICS_ON, ENABLED
+    """Turn every hook back into a no-op (drops the installed tracer)."""
+    global TRACER, TRACING
     TRACER = None
-    METRICS = None
     TRACING = False
-    METRICS_ON = False
-    ENABLED = False
 
 
 class _NoSpan:

@@ -125,8 +125,6 @@ class AdmissionPolicy:
         if self.ring_policy is None:
             return RING_VERIFIED
         ring = self.ring_policy.classify(image)
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("admission_ring_assigned", ring=f"ring{ring}")
         return ring
 
     def validate(

@@ -294,10 +294,6 @@ class ResourceGuard:
         quota = self.supervisor.config.domain_grant_quota
         if quota is not None and held >= quota:
             self.supervisor.stats.add("grants_shed")
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc(
-                    "supervisor_grants_shed", resource=self.resource
-                )
             raise ResourceOverloadedError(
                 f"domain {domain_id} already holds {held} grants of"
                 f" {self.resource} (quota {quota})",
@@ -426,12 +422,6 @@ class ResourceGuard:
         supervisor._check_budget(ticket.domain_id)
 
     def _note_shed(self, method: str, reason: str) -> None:
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc(
-                "supervisor_invocations_shed",
-                resource=self.resource,
-                reason=reason,
-            )
         if _obs.TRACING:
             _obs.TRACER.add_event(
                 "supervisor.shed",
@@ -591,31 +581,40 @@ class ResourceSupervisor:
     # -- containment ---------------------------------------------------------
 
     def kill_runaway(self, domain_id: str, reason: str) -> bool:
-        """Contain a runaway resident: kill, revoke, finalize, audit."""
+        """Contain a runaway resident: kill, revoke, finalize, audit.
+
+        A resident that already left through its own exit (the budget
+        kill is scheduled, so the agent may complete before it lands)
+        was settled by that exit: its record, grants and books stay as
+        they are, and only its watch is dropped.
+        """
         server = self.server
-        killed = server.terminate_resident(domain_id)
-        revoked = 0
         try:
             record = server.domain_db.get(domain_id)
         except ReproError:
             record = None
-        if record is not None:
-            # Revocation runs in the server's protection domain — the
-            # reference monitor audits the group-level intervention and
-            # each resource's per-domain index does the O(domain) sweep.
-            with enter_group(server.server_domain.thread_group):
-                server.security_manager.check_group_modify(
-                    record.domain.thread_group, detail=f"runaway kill: {reason}"
-                )
-                for resource_name in {b.resource for b in record.bindings}:
-                    try:
-                        resource = server.registry.lookup(resource_name)
-                    except ReproError:
-                        continue
-                    revoked += resource.revoke_for(domain_id)
-            with server.domain_db.privileged():
-                if domain_id in server.domain_db:
-                    server.domain_db.set_status(domain_id, "terminated")
+        # Read before the kill, which retires a live resident's record.
+        running = record is not None and record.status == "running"
+        killed = server.terminate_resident(domain_id)
+        if not running:
+            self.forget_domain(domain_id)
+            return killed
+        # Revocation runs in the server's protection domain — the
+        # reference monitor audits the group-level intervention and each
+        # resource's per-domain index does the O(domain) sweep.
+        revoked = 0
+        with enter_group(server.server_domain.thread_group):
+            server.security_manager.check_group_modify(
+                record.domain.thread_group, detail=f"runaway kill: {reason}"
+            )
+            for resource_name in {b.resource for b in record.bindings}:
+                try:
+                    resource = server.registry.lookup(resource_name)
+                except ReproError:
+                    continue
+                revoked += resource.revoke_for(domain_id)
+        with server.domain_db.privileged():
+            server.domain_db.set_status(domain_id, "terminated")
         self.forget_domain(domain_id)
         if killed:
             # Counted only when this kill removed the resident: one that
@@ -631,8 +630,6 @@ class ResourceSupervisor:
                 "supervisor.runaway_kill", domain_id,
                 reason=reason, revoked=revoked, killed_thread=killed,
             )
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("supervisor_runaway_kills")
         return killed
 
     # -- leases ---------------------------------------------------------------
@@ -705,10 +702,6 @@ class ResourceSupervisor:
         if _obs.TRACING:
             _obs.annotate(
                 "supervisor.health_transition", resource, old=old, new=new
-            )
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc(
-                "supervisor_health_transitions", resource=resource, to=new
             )
 
     # -- reporting ------------------------------------------------------------

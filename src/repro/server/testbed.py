@@ -110,7 +110,7 @@ class Testbed:
             "self_healing", self_healing
         )
         # The world's metrics: every host's telemetry registry folded at
-        # read time, plus world-level sources and hook-fed instruments.
+        # read time, plus the fault injector's tally once it exists.
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         self.collector: Any = None
@@ -410,21 +410,8 @@ class Testbed:
         return FlightRecorder(self.tracer)
 
     def stop_tracing(self) -> None:
-        """Disable tracing hooks; metrics hooks (if on) stay on."""
-        metrics = _obs.METRICS
+        """Disable the tracing hooks (the tracer keeps its spans)."""
         _obs.uninstall()
-        if metrics is not None:
-            _obs.install(metrics=metrics)
-
-    def start_metrics(self) -> MetricsRegistry:
-        """Install this world's registry so hook-fed metrics flow.
-
-        Every host's counters are in :meth:`scrape` without this — only
-        the hook-fed instruments (proxy latency histograms, deny
-        counters) need the hooks live.
-        """
-        _obs.install(metrics=self.metrics)
-        return self.metrics
 
     def scrape(self) -> dict[str, Any]:
         """Every metric in the world, flattened into one dict."""

@@ -7,7 +7,11 @@ import math
 import pytest
 
 from repro.agents.agent import Agent, register_trusted_agent_class
+from repro.apps.buffer import Buffer
+from repro.core.policy import PolicyRule, SecurityPolicy
 from repro.credentials.rights import Rights
+from repro.errors import ReproError
+from repro.naming.urn import URN
 from repro.obs.aggregate import (
     MetricSnapshot,
     TelemetryCollector,
@@ -15,6 +19,8 @@ from repro.obs.aggregate import (
     snapshot_delta,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.sandbox.threadgroup import enter_group
+from repro.server.supervisor import SupervisorConfig
 from repro.server.testbed import Testbed
 from repro.sim.monitor import Counter as MonitorCounter
 from repro.sim.threads import SimThread
@@ -257,6 +263,75 @@ def test_federation_stays_exact_across_crash_and_restart():
     assert federated[
         f"server.crashes{{server={bed.servers[1].name}}}"
     ] == 1
+
+
+@register_trusted_agent_class
+class _BindDenyRedeemAgent(Agent):
+    """Binds at home, is denied once, hops, redeems its token back home,
+    then waits there to be revoked."""
+
+    def run(self):
+        here = self.host.server_name()
+        if not self.token_hex:
+            proxy = self.host.get_resource(self.target)
+            proxy.put("x")
+            try:
+                proxy.size()  # not granted: denied on the proxy
+            except ReproError:
+                pass
+            self.token_hex = proxy.capability_token().to_wire().hex()
+            self.go(self.away, "run")
+        elif here == self.away:
+            self.go(self.home_name, "run")
+        else:
+            proxy = self.host.get_resource(
+                self.target, token=bytes.fromhex(self.token_hex)
+            )
+            proxy.get()
+            self.host.sleep(100.0)  # the revocation lands meanwhile
+            try:
+                proxy.put("y")
+            except ReproError:
+                pass
+            self.complete("done")
+
+
+def test_federation_is_exact_over_bind_deny_redeem_and_revoke():
+    """Every event of a guarded binding's life lands on a host's books:
+    nothing reaches the world view that a federated scrape misses."""
+    bed = Testbed(
+        4, seed=95, server_kwargs={"supervision": SupervisorConfig()}
+    )
+    target = URN.parse("urn:resource:site0.net/box")
+    policy = SecurityPolicy(rules=[PolicyRule(
+        "any", "*", Rights.of("Buffer.put", "Buffer.get"), confine=False,
+    )])
+    buf = Buffer(target, URN.parse("urn:principal:site0.net/o"), policy)
+    bed.home.install_resource(buf)
+    recorder = bed.start_tracing()
+    agent = _BindDenyRedeemAgent()
+    agent.target = str(target)
+    agent.token_hex = ""
+    agent.home_name = bed.home.name
+    agent.away = bed.servers[1].name
+    image = bed.launch(agent, Rights.all())
+    bed.run(until=50.0)
+    [resident] = bed.home.domain_db.residents()  # back home, asleep
+    assert resident.agent == image.name
+    with enter_group(bed.home.server_domain.thread_group):
+        assert buf.revoke_for(resident.domain_id) == 1  # the redeemed proxy
+    bed.run()
+    bed.stop_tracing()
+    assert resident.status == "completed"
+    audit = bed.home.audit
+    assert len(audit.records(operation="resource.redeem_token")) == 1
+    assert len(audit.records(operation="proxy.invoke", allowed=False)) == 2
+    assert not recorder.open_spans()
+
+    federated = _federated_scrape(bed)
+    omniscient = bed.scrape()
+    assert _counters(federated) == _counters(omniscient)
+    assert _hist_mass(federated) == _hist_mass(omniscient)
 
 
 def test_world_scrape_contains_every_host_snapshot():

@@ -293,13 +293,16 @@ def test_blown_metered_budget_kills_the_agent_at_its_next_blocking_point():
 def test_runaway_kill_of_an_already_finished_agent_is_not_counted():
     # The budget kill is scheduled off-thread; an agent that completes
     # before it lands already left through its own exit, so counting
-    # the kill too would subtract that agent twice.
+    # the kill too would subtract that agent twice.  Its record keeps
+    # the status its own exit wrote, and no kill is audited.
     bed = metered_testbed()
-    bed.launch(LastCallSpender(), Rights.all(), agent_local="last-call")
+    image = bed.launch(LastCallSpender(), Rights.all(), agent_local="last-call")
     bed.run(detect_deadlock=False)
     assert bed.home.stats["agents_completed"] == 1
     assert bed.home.stats["agents_killed_runaway"] == 0
     assert bed.home.supervisor.stats["agents_killed_runaway"] == 0
+    assert bed.home.resident_status(image.name)["status"] == "completed"
+    assert not bed.home.audit.records(operation="agent.runaway_kill")
     assert healed_conservation_residual(bed.servers)() == 0
 
 
