@@ -15,7 +15,7 @@ PR 9's tentpole claims, pinned as numbers:
   latency into segments (crypto / network / queue / supervision /
   compute) that sum *exactly* to the total;
 * **off means off** — with the whole plane constructed but not started
-  (no tracer installed, no collector ticking, no profiler, no SLO
+  (no tracer installed, no collector scraping, no profiler, no SLO
   watchdog), the S1-style warm enforcement path makes ≤ 2% more Python
   calls (a deterministic count; a paired wall-clock estimate is
   reported beside it).

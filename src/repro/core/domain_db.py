@@ -150,10 +150,21 @@ class DomainDatabase:
             raise UnknownNameError(f"no domain {domain_id!r}") from None
 
     def by_agent(self, agent: URN) -> DomainRecord:
+        """The agent's ``running`` record, else its newest one.
+
+        A revisit accrues a second record, so the first match may be an
+        old ``departed`` residency; status queries and control commands
+        must act on the live one.
+        """
+        newest = None
         for record in self._records.values():
             if record.agent == agent:
-                return record
-        raise UnknownNameError(f"no resident agent {agent}")
+                if record.status == "running":
+                    return record
+                newest = record
+        if newest is None:
+            raise UnknownNameError(f"no resident agent {agent}")
+        return newest
 
     def records_of(self, agent: URN) -> list[DomainRecord]:
         """Every record for ``agent`` — revisits and crash-recovery

@@ -36,10 +36,7 @@ from repro.obs.recorder import (
 )
 from repro.obs.runtime import install, uninstall
 from repro.obs.slo import (
-    AvailabilityObjective,
-    GoodputObjective,
     InvariantObjective,
-    LatencyObjective,
     SLOMonitor,
     SLOStatus,
     agent_conservation_residual,
@@ -47,16 +44,6 @@ from repro.obs.slo import (
     replica_divergence_residual,
 )
 from repro.obs.trace import Span, SpanContext, Tracer, WallClock
-
-
-def __getattr__(name: str):
-    # CollectorAgent pulls in the agent stack, which itself imports
-    # repro.obs — resolve it lazily to keep the package import acyclic.
-    if name == "CollectorAgent":
-        from repro.obs import aggregate
-
-        return aggregate.CollectorAgent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -77,16 +64,12 @@ __all__ = [
     "MetricSnapshot",
     "TelemetryUnit",
     "TelemetryCollector",
-    "CollectorAgent",
     "snapshot_delta",
     # profiling (repro.obs.profiler)
     "SamplingProfiler",
-    # objectives (repro.obs.slo)
+    # conservation-law watchdogs (repro.obs.slo)
     "SLOMonitor",
     "SLOStatus",
-    "AvailabilityObjective",
-    "LatencyObjective",
-    "GoodputObjective",
     "InvariantObjective",
     "agent_conservation_residual",
     "replica_divergence_residual",

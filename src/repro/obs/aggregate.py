@@ -9,9 +9,9 @@ federation does:
 * every host owns a :class:`TelemetryUnit` — a local registry plus the
   host's identifying labels — and serves *cumulative* snapshots of it
   over the authenticated ``telemetry.scrape`` secure-channel op;
-* a :class:`TelemetryCollector` pulls those snapshots (kernel-scheduled
-  scrape rounds on a daemon tick, or hop-by-hop via the touring
-  :class:`CollectorAgent`) and materializes one cluster-level registry.
+* a :class:`TelemetryCollector` pulls those snapshots in synchronous
+  scrape rounds (:meth:`TelemetryCollector.scrape_round`, run from a
+  simulated thread) and materializes one cluster-level registry.
 
 Counters travel **cumulative** on the wire and the collector computes
 deltas against the last value it saw per target.  Serving deltas would
@@ -42,7 +42,6 @@ __all__ = [
     "MetricSnapshot",
     "TelemetryUnit",
     "TelemetryCollector",
-    "CollectorAgent",
     "snapshot_delta",
 ]
 
@@ -250,11 +249,9 @@ class TelemetryCollector:
     it metrics either.
 
     Scrape rounds must run in a simulated thread (``connect``/``call``
-    block).  :meth:`start` schedules rounds on a **daemon** kernel tick:
-    periodic scraping never keeps ``kernel.run()`` alive after the
-    world's real work drains.  Absorption is delta-based per target (see
-    the module docstring), so any number of overlapping or failed rounds
-    converge to exact totals.
+    block).  Absorption is delta-based per target (see the module
+    docstring), so any number of repeated or failed rounds converge to
+    exact totals.
     """
 
     def __init__(
@@ -276,14 +273,6 @@ class TelemetryCollector:
         # Per-target last-seen cumulative values (delta baselines).
         self._last_counters: dict[str, dict[str, int | float]] = {}
         self._last_hist_counts: dict[str, dict[str, list[int]]] = {}
-        self._ticker = None
-        self._round_thread = None
-
-    # -- target management ---------------------------------------------------
-
-    def add_target(self, name: str) -> None:
-        if name not in self.targets:
-            self.targets.append(name)
 
     # -- scraping (simulated-thread context) ---------------------------------
 
@@ -336,8 +325,7 @@ class TelemetryCollector:
         """Fold one cumulative snapshot into the cluster registry.
 
         ``source_key`` identifies the delta baseline (defaults to the
-        snapshot's origin); the touring collector agent passes hop-local
-        snapshots through here with their origins intact.
+        snapshot's origin).
         """
         key = source_key if source_key is not None else snapshot.origin
         last = self._last_counters.setdefault(key, {})
@@ -397,36 +385,6 @@ class TelemetryCollector:
             return 0.0
         return prior_total if prior_total <= observed_total else 0.0
 
-    # -- periodic operation ---------------------------------------------------
-
-    def start(self, period: float = 5.0):
-        """Scrape every ``period`` virtual seconds on a daemon tick."""
-        if self._ticker is not None and not self._ticker.cancelled:
-            raise ReproError("collector is already started")
-        self._ticker = self.kernel.every(period, self._tick, daemon=True)
-        return self._ticker
-
-    def stop(self) -> None:
-        if self._ticker is not None:
-            self._ticker.cancel()
-            self._ticker = None
-
-    def _tick(self) -> None:
-        from repro.sim.threads import SimThread
-
-        if self._round_thread is not None and self._round_thread.is_alive:
-            # The previous round is still draining (slow links); skip
-            # rather than stack overlapping rounds.
-            self.stats.add("rounds_skipped")
-            return
-        self._round_thread = SimThread(
-            self.kernel,
-            self.scrape_round,
-            name=f"telemetry-collector/{self.via.name}",
-            on_error="store",
-        )
-        self._round_thread.start()
-
     # -- output ---------------------------------------------------------------
 
     def scrape(self) -> dict[str, Any]:
@@ -438,64 +396,3 @@ class TelemetryCollector:
             self.cluster, f"cluster:{self.via.name}", self.kernel.now()
         )
 
-
-# ---------------------------------------------------------------------------
-# The touring collector (scrape-by-visiting)
-# ---------------------------------------------------------------------------
-
-# The agent stack itself imports repro.obs (every module does, for the
-# tracing hooks), so importing repro.agents at module scope here would
-# close an import cycle.  CollectorAgent is built on first attribute
-# access instead — `from repro.obs.aggregate import CollectorAgent`
-# works as usual, just lazily.
-
-_COLLECTOR_AGENT_CLASS = None
-
-
-def _build_collector_agent():
-    global _COLLECTOR_AGENT_CLASS
-    if _COLLECTOR_AGENT_CLASS is not None:
-        return _COLLECTOR_AGENT_CLASS
-
-    from repro.agents.agent import Agent, register_trusted_agent_class
-
-    @register_trusted_agent_class
-    class CollectorAgent(Agent):
-        """A mobile agent that gathers telemetry hop by hop.
-
-        The pull collector needs a network path from its host to every
-        target; a *touring* collector needs only the ordinary
-        agent-transfer fabric — it visits each server, reads the local
-        :class:`TelemetryUnit` through the agent environment's safe
-        ``telemetry_snapshot`` accessor, and carries the accumulated
-        wire snapshots home in its state.  Feed the result to
-        :meth:`TelemetryCollector.absorb` (snapshots carry their
-        origins).
-
-        Launch state: ``tour`` — list of server names still to visit;
-        ``collected`` — accumulated snapshot wire dicts (start with
-        ``[]``).
-        """
-
-        tour: list
-        collected: list
-
-        def run(self):
-            snapshot = self.host.telemetry_snapshot()
-            if snapshot is not None:
-                self.collected.append(snapshot)
-            while self.tour:
-                next_stop = self.tour.pop(0)
-                if next_stop == self.host.server_name():
-                    continue
-                self.go(next_stop, "run")
-            self.complete(self.collected)
-
-    _COLLECTOR_AGENT_CLASS = CollectorAgent
-    return CollectorAgent
-
-
-def __getattr__(name: str):
-    if name == "CollectorAgent":
-        return _build_collector_agent()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,25 +1,18 @@
-"""Service-level objectives and conservation-law watchdogs.
+"""Conservation-law watchdogs: invariants whose only healthy value is zero.
 
-Benchmarks kept re-deriving the same judgments by hand: "was
-availability ≥ 99.9% through the partition window?", "is p99 invoke
-latency still bounded?", "does ``hosted − transfers_out ==
-completions`` hold?".  This module promotes them into reusable runtime
-objects:
+Benchmarks and campaigns kept re-deriving the same judgments by hand:
+"does ``hosted − transfers_out == completions`` hold?", "did an audit
+ring buffer drop a security decision?", "do the directory replicas
+agree?".  This module promotes them into reusable runtime objects:
 
-* **windowed objectives** — :class:`AvailabilityObjective` (good/total
-  ratio over a sliding virtual-time window), :class:`LatencyObjective`
-  (histogram quantile against a threshold) and
-  :class:`GoodputObjective` (event rate floor), each reporting a **burn
-  rate**: how fast the error budget is being consumed (1.0 = exactly on
-  target; above 1.0 the objective will be violated if the trend holds);
-* **invariant objectives** — conservation laws as residual functions
-  whose only acceptable value is zero (``hosted − out == completions``,
-  ``replica divergence == 0``, ``audit drops == 0``); any nonzero
-  residual is a violation *now*, not a trend;
-* an :class:`SLOMonitor` that owns a set of objectives, evaluates them
-  on demand or on a periodic daemon sweep (:meth:`watch`), keeps a
-  violation history, and turns into a metrics source
-  (``slo.sweeps``/``slo.violations``) for the telemetry plane.
+* :class:`InvariantObjective` — a conservation law as a residual
+  function whose only acceptable value is zero (``hosted − out ==
+  completions``, ``replica divergence == 0``, ``audit drops == 0``); any
+  nonzero residual is a violation *now*;
+* an :class:`SLOMonitor` that owns a set of invariants, evaluates them
+  on demand or on a periodic daemon sweep (:meth:`SLOMonitor.watch`)
+  and keeps a violation history;
+* the ``*_residual`` factories that build the laws over a fleet.
 
 Invariants of the ``hosted − out == completions`` kind are *quiescence*
 laws — mid-flight agents make the residual legitimately positive — so
@@ -32,16 +25,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import ReproError
-from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Kernel, RepeatingEvent
 
 __all__ = [
     "SLOStatus",
-    "AvailabilityObjective",
-    "LatencyObjective",
-    "GoodputObjective",
     "InvariantObjective",
     "SLOMonitor",
     "agent_conservation_residual",
@@ -53,177 +42,20 @@ __all__ = [
 
 
 class SLOStatus(NamedTuple):
-    """One objective's verdict at one instant."""
+    """One invariant's verdict at one instant."""
 
     name: str
-    kind: str  # "availability" | "latency" | "goodput" | "invariant"
     ok: bool
     value: float
-    target: float
-    burn_rate: float
     detail: str = ""
 
     def __str__(self) -> str:  # pragma: no cover - human formatting
         verdict = "OK  " if self.ok else "VIOL"
-        return (
-            f"[{verdict}] {self.kind:12s} {self.name}: value={self.value:g}"
-            f" target={self.target:g} burn={self.burn_rate:g} {self.detail}"
-        )
-
-
-class _Windowed:
-    """Shared sliding-window event store: (time, payload) pairs."""
-
-    def __init__(self, clock: Any, window: float) -> None:
-        if window <= 0:
-            raise ReproError(f"SLO window must be positive: {window}")
-        self.clock = clock
-        self.window = window
-        self._events: list[tuple[float, Any]] = []
-
-    def _push(self, payload: Any) -> None:
-        self._events.append((self.clock.now(), payload))
-
-    def _prune(self) -> list[tuple[float, Any]]:
-        horizon = self.clock.now() - self.window
-        # Events are appended in time order (virtual clocks never run
-        # backward), so a single slice keeps this O(expired).
-        i = 0
-        events = self._events
-        while i < len(events) and events[i][0] < horizon:
-            i += 1
-        if i:
-            del events[:i]
-        return events
-
-
-class AvailabilityObjective(_Windowed):
-    """good/total ratio over the window must stay ≥ ``target``.
-
-    With no events in the window the objective reports healthy (an idle
-    service is not failing).  Burn rate is error-budget consumption:
-    ``(1 - value) / (1 - target)`` — e.g. 99.0% observed against a
-    99.9% target burns 10× budget.
-    """
-
-    kind = "availability"
-
-    def __init__(
-        self, name: str, clock: Any, *, target: float = 0.999,
-        window: float = 60.0,
-    ) -> None:
-        if not 0.0 < target <= 1.0:
-            raise ReproError(f"availability target must be in (0, 1]: {target}")
-        super().__init__(clock, window)
-        self.name = name
-        self.target = target
-
-    def record(self, good: bool, count: int = 1) -> None:
-        self._push((bool(good), count))
-
-    def evaluate(self) -> SLOStatus:
-        events = self._prune()
-        total = sum(n for _, (_, n) in events)
-        good = sum(n for _, (g, n) in events if g)
-        value = good / total if total else 1.0
-        budget = 1.0 - self.target
-        consumed = 1.0 - value
-        if consumed <= 0:
-            burn = 0.0
-        elif budget <= 0:
-            burn = float("inf")
-        else:
-            burn = consumed / budget
-        return SLOStatus(
-            self.name, self.kind, value >= self.target, value, self.target,
-            burn, f"{good}/{total} good in {self.window:g}s",
-        )
-
-
-class LatencyObjective:
-    """A histogram quantile must stay ≤ ``threshold``.
-
-    ``histogram`` is a live :class:`~repro.obs.metrics.Histogram` cell
-    (cumulative — the window is the histogram's own lifetime) or a
-    zero-argument callable returning one (to read a fresh cell each
-    sweep, e.g. out of the collector's cluster registry).  No data means
-    healthy.  Burn rate is ``observed / threshold``.
-    """
-
-    kind = "latency"
-
-    def __init__(
-        self,
-        name: str,
-        histogram: "Histogram | Callable[[], Histogram | None]",
-        *,
-        threshold: float,
-        quantile: float = 0.99,
-    ) -> None:
-        if threshold <= 0:
-            raise ReproError(f"latency threshold must be positive: {threshold}")
-        self.name = name
-        self._histogram = histogram
-        self.threshold = threshold
-        self.quantile = quantile
-
-    def evaluate(self) -> SLOStatus:
-        hist = self._histogram() if callable(self._histogram) else self._histogram
-        if hist is None or hist.count == 0:
-            return SLOStatus(
-                self.name, self.kind, True, 0.0, self.threshold, 0.0,
-                "no observations",
-            )
-        value = hist.quantile(self.quantile)
-        return SLOStatus(
-            self.name, self.kind, value <= self.threshold, value,
-            self.threshold, value / self.threshold,
-            f"p{int(self.quantile * 100)} of {hist.count} observations",
-        )
-
-
-class GoodputObjective(_Windowed):
-    """Completed work per second over the window must stay ≥ ``target``.
-
-    Burn rate inverts the ratio (target/value): starvation burns hot.
-    The objective only arms once it has seen its first event, so a
-    world that has not started yet is not "violating goodput".
-    """
-
-    kind = "goodput"
-
-    def __init__(
-        self, name: str, clock: Any, *, target: float, window: float = 60.0
-    ) -> None:
-        if target <= 0:
-            raise ReproError(f"goodput target must be positive: {target}")
-        super().__init__(clock, window)
-        self.name = name
-        self.target = target
-        self._armed = False
-
-    def record(self, count: int = 1) -> None:
-        self._armed = True
-        self._push(count)
-
-    def evaluate(self) -> SLOStatus:
-        events = self._prune()
-        if not self._armed:
-            return SLOStatus(
-                self.name, self.kind, True, 0.0, self.target, 0.0, "not armed"
-            )
-        rate = sum(n for _, n in events) / self.window
-        burn = self.target / rate if rate > 0 else float("inf")
-        return SLOStatus(
-            self.name, self.kind, rate >= self.target, rate, self.target,
-            burn, f"{len(events)} batches in {self.window:g}s",
-        )
+        return f"[{verdict}] {self.name}: residual={self.value:g} {self.detail}"
 
 
 class InvariantObjective:
     """A conservation law: the residual function must return zero."""
-
-    kind = "invariant"
 
     def __init__(
         self, name: str, residual: Callable[[], float], detail: str = ""
@@ -234,61 +66,26 @@ class InvariantObjective:
 
     def evaluate(self) -> SLOStatus:
         value = float(self.residual())
-        return SLOStatus(
-            self.name, self.kind, value == 0.0, value, 0.0, abs(value),
-            self.detail,
-        )
+        return SLOStatus(self.name, value == 0.0, value, self.detail)
 
 
 class SLOMonitor:
-    """A set of objectives, evaluated on demand or on a daemon sweep."""
+    """A set of invariants, evaluated on demand or on a daemon sweep."""
 
     def __init__(self, clock: Any) -> None:
         self.clock = clock
-        self.objectives: list[Any] = []
+        self.objectives: list[InvariantObjective] = []
         # (virtual time, SLOStatus) for every violation a sweep saw.
         self.violation_history: list[tuple[float, SLOStatus]] = []
         self.sweeps = 0
         self._ticker: "RepeatingEvent | None" = None
 
-    # -- building ------------------------------------------------------------
-
-    def add(self, objective: Any) -> Any:
-        self.objectives.append(objective)
-        return objective
-
-    def add_availability(
-        self, name: str, *, target: float = 0.999, window: float = 60.0
-    ) -> AvailabilityObjective:
-        return self.add(
-            AvailabilityObjective(name, self.clock, target=target, window=window)
-        )
-
-    def add_latency(
-        self,
-        name: str,
-        histogram: "Histogram | Callable[[], Histogram | None]",
-        *,
-        threshold: float,
-        quantile: float = 0.99,
-    ) -> LatencyObjective:
-        return self.add(
-            LatencyObjective(
-                name, histogram, threshold=threshold, quantile=quantile
-            )
-        )
-
-    def add_goodput(
-        self, name: str, *, target: float, window: float = 60.0
-    ) -> GoodputObjective:
-        return self.add(
-            GoodputObjective(name, self.clock, target=target, window=window)
-        )
-
     def add_invariant(
         self, name: str, residual: Callable[[], float], detail: str = ""
     ) -> InvariantObjective:
-        return self.add(InvariantObjective(name, residual, detail))
+        objective = InvariantObjective(name, residual, detail)
+        self.objectives.append(objective)
+        return objective
 
     # -- evaluation ----------------------------------------------------------
 
@@ -346,16 +143,6 @@ class SLOMonitor:
             return bool(self.violation_history)
         return any(status.name == name for _, status in self.violation_history)
 
-    # -- metrics-source protocol ----------------------------------------------
-
-    def as_dict(self) -> dict[str, int]:
-        """Registerable as a metrics source (``register_source("slo", m)``)."""
-        return {
-            "objectives": len(self.objectives),
-            "sweeps": self.sweeps,
-            "violations_seen": len(self.violation_history),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Conservation residuals (the laws the benches kept re-deriving)
@@ -370,8 +157,8 @@ def agent_conservation_residual(servers: Iterable[Any]) -> Callable[[], int]:
     world without tripping on agents that are merely mid-tour (at
     quiescence ``residents`` is zero and this reduces to the familiar
     hosted == out + completed).  Forcible terminations (security kills,
-    lifetime limits, crashes) legitimately leave a positive residual —
-    add their counters to the expectation in scenarios that use them.
+    lifetime limits, crashes) legitimately leave a positive residual;
+    :func:`healed_conservation_residual` nets them out.
     """
     fleet = list(servers)
 

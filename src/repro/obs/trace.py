@@ -28,9 +28,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
-__all__ = ["SpanContext", "Span", "Tracer", "WallClock"]
+__all__ = ["SpanContext", "Span", "Tracer", "WallClock", "chrome_trace"]
 
 
 class SpanContext(NamedTuple):
@@ -359,64 +359,89 @@ class Tracer:
         return text
 
     def export_chrome(self, path: str | None = None) -> dict[str, Any]:
-        """Chrome trace-event JSON (``chrome://tracing`` / Perfetto).
-
-        Spans become complete ("X") events on a ``pid`` of their
-        ``server`` attribute (falling back to the tracer's service name)
-        and a ``tid`` of their trace id, so one agent's tour reads as one
-        row per server.  Span events and global annotations become
-        instant ("i") events; injected faults carry ``injected: true`` so
-        post-mortems separate them from organic failures.
-        """
-        events: list[dict[str, Any]] = []
-        for span in self.finished:
-            pid = str(span.attributes.get("server", self.service))
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.name.split(".", 1)[0],
-                    "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": ((span.end or span.start) - span.start) * 1e6,
-                    "pid": pid,
-                    "tid": span.trace_id,
-                    "args": {
-                        "span_id": span.span_id,
-                        "parent_id": span.parent_id,
-                        "status": span.status,
-                        "status_detail": span.status_detail,
-                        **span.attributes,
-                    },
-                }
-            )
-            for t, name, attrs in span.events:
-                events.append(
-                    {
-                        "name": f"{span.name}/{name}",
-                        "cat": "event",
-                        "ph": "i",
-                        "ts": t * 1e6,
-                        "s": "t",
-                        "pid": pid,
-                        "tid": span.trace_id,
-                        "args": {"span_id": span.span_id, **attrs},
-                    }
-                )
-        for t, kind, detail, attrs in self.annotations:
-            events.append(
-                {
-                    "name": kind,
-                    "cat": "annotation",
-                    "ph": "i",
-                    "ts": t * 1e6,
-                    "s": "g",
-                    "pid": "faults" if attrs.get("injected") else self.service,
-                    "tid": "annotations",
-                    "args": {"detail": detail, **attrs},
-                }
-            )
-        doc = {"traceEvents": events, "displayTimeUnit": "ms"}
+        """Chrome trace-event JSON of every finished span and annotation
+        (see :func:`chrome_trace`)."""
+        doc = chrome_trace(
+            (span.to_dict() for span in self.finished),
+            self.service,
+            self.annotations,
+        )
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         return doc
+
+
+def chrome_trace(
+    spans: Iterable[dict[str, Any]],
+    service: str,
+    annotations: Iterable[tuple[float, str, str, dict[str, Any]]],
+) -> dict[str, Any]:
+    """Chrome trace-event JSON (``chrome://tracing`` / Perfetto).
+
+    ``spans`` are :meth:`Span.to_dict` records, live or read back from a
+    JSONL export (a record may omit ``end``, ``events`` and the status
+    fields).  Spans become complete ("X") events on a ``pid`` of
+    their ``server`` attribute (falling back to ``service``) and a
+    ``tid`` of their trace id, so one agent's tour reads as one row per
+    server; an open span (``end`` is None) gets zero duration.  Span
+    events and global annotations become instant ("i") events; injected
+    faults carry ``injected: true`` so post-mortems separate them from
+    organic failures.
+    """
+    events: list[dict[str, Any]] = []
+    for span in spans:
+        attributes = span.get("attributes", {})
+        pid = str(attributes.get("server", service))
+        start = span["start"]
+        end = span.get("end")
+        if end is None:
+            end = start
+        events.append(
+            {
+                "name": span["name"],
+                "cat": span["name"].split(".", 1)[0],
+                "ph": "X",
+                "ts": start * 1e6,
+                "dur": (end - start) * 1e6,
+                "pid": pid,
+                "tid": span["trace_id"],
+                "args": {
+                    "span_id": span["span_id"],
+                    "parent_id": span.get("parent_id"),
+                    "status": span.get("status"),
+                    "status_detail": span.get("status_detail", ""),
+                    **attributes,
+                },
+            }
+        )
+        for event in span.get("events", ()):
+            events.append(
+                {
+                    "name": f"{span['name']}/{event['name']}",
+                    "cat": "event",
+                    "ph": "i",
+                    "ts": event["time"] * 1e6,
+                    "s": "t",
+                    "pid": pid,
+                    "tid": span["trace_id"],
+                    "args": {
+                        "span_id": span["span_id"],
+                        **event.get("attributes", {}),
+                    },
+                }
+            )
+    for t, kind, detail, attrs in annotations:
+        events.append(
+            {
+                "name": kind,
+                "cat": "annotation",
+                "ph": "i",
+                "ts": t * 1e6,
+                "s": "g",
+                "pid": "faults" if attrs.get("injected") else service,
+                "tid": "annotations",
+                "args": {"detail": detail, **attrs},
+            }
+        )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

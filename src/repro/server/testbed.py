@@ -106,9 +106,7 @@ class Testbed:
         self._server_kwargs.setdefault("audit_capacity", 100_000)
         # Self-healing control plane: heartbeat failure detection plus
         # checkpoint/re-homing on every server.
-        self._self_healing = self._server_kwargs.setdefault(
-            "self_healing", self_healing
-        )
+        self._server_kwargs.setdefault("self_healing", self_healing)
         # The world's metrics: every host's telemetry registry folded at
         # read time, plus the fault injector's tally once it exists.
         self.metrics = MetricsRegistry()
@@ -427,38 +425,12 @@ class Testbed:
         """Every node serving ``telemetry.scrape``: servers + directory replicas."""
         return [s.name for s in self.servers] + list(self.ns_hosts)
 
-    def start_collector(
-        self, period: float = 5.0, *, via: AgentServer | None = None
-    ):
-        """Start a kernel-scheduled federated scraper; returns the collector.
-
-        The collector rides on ``via``'s secure host (default: home) and
-        pulls every target each ``period`` of virtual time, as a daemon
-        tick — it never keeps an otherwise-idle world alive.
-        """
-        from repro.obs.aggregate import TelemetryCollector
-
-        if self.collector is not None:
-            raise ReproError("collector already started")
-        host = via or self.home
-        self.collector = TelemetryCollector(
-            host.secure,
-            self.telemetry_targets(),
-            local=host.telemetry,
-        )
-        self.collector.start(period)
-        return self.collector
-
-    def stop_collector(self) -> None:
-        if self.collector is not None:
-            self.collector.stop()
-
     def cluster_scrape(self) -> dict[str, Any]:
         """One synchronous federated scrape round, flattened like :meth:`scrape`.
 
         Must run inside kernel context (wrap in a SimThread / call from a
-        running world).  Starts an ad-hoc collector on first use if
-        :meth:`start_collector` was never called.
+        running world).  The collector is built on first use and rides
+        on home's secure host, so later rounds absorb only deltas.
         """
         from repro.obs.aggregate import TelemetryCollector
 
@@ -493,27 +465,20 @@ class Testbed:
         divergence when the directory is replicated)."""
         from repro.obs.slo import (
             SLOMonitor,
-            agent_conservation_residual,
             audit_drop_residual,
             healed_conservation_residual,
             replica_divergence_residual,
         )
 
         monitor = SLOMonitor(self.clock)
-        if self._self_healing:
-            # With crashes/drains in play the base law legitimately goes
-            # positive; the healed variant nets out recorded removals.
-            monitor.add_invariant(
-                "healed_conservation",
-                healed_conservation_residual(self.servers),
-                detail="an agent was lost or double-admitted through healing",
-            )
-        else:
-            monitor.add_invariant(
-                "agent_conservation",
-                agent_conservation_residual(self.servers),
-                detail="hosted != transfers_out + completed + residents",
-            )
+        # Every forcible removal (lifetime, security, owner command,
+        # crash, drain) bumps one kill counter, so the law that nets
+        # them out holds in every world, healing or not.
+        monitor.add_invariant(
+            "agent_conservation",
+            healed_conservation_residual(self.servers),
+            detail="hosted != out + completed + residents + forcible removals",
+        )
         monitor.add_invariant(
             "audit_drops",
             audit_drop_residual(self.servers),

@@ -1,4 +1,4 @@
-"""SLO objectives, burn rates, and conservation-law watchdogs."""
+"""Conservation-law watchdogs: invariant objectives and the SLO monitor."""
 
 from __future__ import annotations
 
@@ -7,111 +7,10 @@ import pytest
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.credentials.rights import Rights
 from repro.errors import ReproError
-from repro.obs.metrics import Histogram
-from repro.obs.slo import (
-    AvailabilityObjective,
-    GoodputObjective,
-    InvariantObjective,
-    LatencyObjective,
-    SLOMonitor,
-    audit_drop_residual,
-)
+from repro.obs.slo import InvariantObjective, SLOMonitor, audit_drop_residual
 from repro.server.testbed import Testbed
 from repro.sim.kernel import Kernel
 from repro.util.clock import VirtualClock
-
-
-# -- availability ------------------------------------------------------------
-
-
-def test_availability_idle_is_healthy():
-    obj = AvailabilityObjective("lookups", VirtualClock(), target=0.999)
-    status = obj.evaluate()
-    assert status.ok and status.value == 1.0 and status.burn_rate == 0.0
-
-
-def test_availability_burn_rate_scales_with_budget_consumption():
-    clock = VirtualClock()
-    obj = AvailabilityObjective("lookups", clock, target=0.9, window=60.0)
-    for _ in range(8):
-        obj.record(True)
-    obj.record(False)
-    obj.record(False)  # 8/10 good = 0.8 < 0.9
-    status = obj.evaluate()
-    assert not status.ok
-    assert status.value == pytest.approx(0.8)
-    assert status.burn_rate == pytest.approx(2.0)  # 0.2 consumed / 0.1 budget
-
-
-def test_availability_window_forgets_old_failures():
-    clock = VirtualClock()
-    obj = AvailabilityObjective("lookups", clock, target=0.9, window=10.0)
-    obj.record(False)
-    clock.set(20.0)
-    obj.record(True)
-    assert obj.evaluate().ok
-
-
-def test_availability_rejects_bad_target():
-    with pytest.raises(ReproError):
-        AvailabilityObjective("x", VirtualClock(), target=1.5)
-    with pytest.raises(ReproError):
-        AvailabilityObjective("x", VirtualClock(), target=0.9, window=0.0)
-
-
-# -- latency -----------------------------------------------------------------
-
-
-def test_latency_no_data_is_healthy():
-    obj = LatencyObjective("p99", Histogram([10.0]), threshold=100.0)
-    assert obj.evaluate().ok
-
-
-def test_latency_quantile_against_threshold():
-    hist = Histogram([10.0, 100.0, 1000.0])
-    for _ in range(99):
-        hist.observe(5.0)
-    hist.observe(500.0)
-    ok_obj = LatencyObjective("p50", hist, threshold=50.0, quantile=0.5)
-    assert ok_obj.evaluate().ok
-    bad = LatencyObjective("p99", hist, threshold=100.0, quantile=0.995)
-    status = bad.evaluate()
-    assert not status.ok
-    assert status.value == 1000.0
-    assert status.burn_rate == pytest.approx(10.0)
-
-
-def test_latency_callable_histogram_reads_fresh_cell_each_sweep():
-    cells = {"h": None}
-    obj = LatencyObjective("p99", lambda: cells["h"], threshold=100.0)
-    assert obj.evaluate().ok  # None -> no data
-    hist = Histogram([10.0])
-    hist.observe(5000.0)
-    cells["h"] = hist
-    assert not obj.evaluate().ok
-
-
-# -- goodput -----------------------------------------------------------------
-
-
-def test_goodput_not_armed_until_first_event():
-    clock = VirtualClock()
-    obj = GoodputObjective("completions", clock, target=10.0, window=10.0)
-    assert obj.evaluate().ok  # unarmed: a world that hasn't started
-    obj.record()
-    clock.set(20.0)  # the only event slid out of the window
-    status = obj.evaluate()
-    assert not status.ok
-    assert status.burn_rate == float("inf")
-
-
-def test_goodput_rate_over_window():
-    clock = VirtualClock()
-    obj = GoodputObjective("completions", clock, target=1.0, window=10.0)
-    for i in range(20):
-        clock.set(i * 0.5)
-        obj.record()
-    assert obj.evaluate().ok
 
 
 # -- invariants --------------------------------------------------------------
@@ -124,7 +23,7 @@ def test_invariant_zero_is_ok_nonzero_trips():
     box["residual"] = -3
     status = obj.evaluate()
     assert not status.ok
-    assert status.burn_rate == 3.0
+    assert status.value == -3.0
 
 
 # -- the monitor -------------------------------------------------------------
@@ -132,7 +31,7 @@ def test_invariant_zero_is_ok_nonzero_trips():
 
 def test_monitor_evaluate_violations_and_assert():
     monitor = SLOMonitor(VirtualClock())
-    monitor.add_availability("avail", target=0.9)
+    monitor.add_invariant("quiet", lambda: 0)
     box = {"residual": 1}
     monitor.add_invariant("law", lambda: box["residual"], detail="broken law")
     assert not monitor.ok()
@@ -142,7 +41,7 @@ def test_monitor_evaluate_violations_and_assert():
     assert "broken law" in monitor.render()
     box["residual"] = 0
     monitor.assert_ok()
-    assert monitor.as_dict()["objectives"] == 2
+    assert [o.name for o in monitor.objectives] == ["quiet", "law"]
 
 
 def test_monitor_watch_sweeps_on_daemon_tick():
@@ -235,6 +134,27 @@ def test_agent_conservation_law_holds_at_quiescence():
     statuses = {s.name: s for s in monitor.evaluate()}
     assert statuses["agent_conservation"].ok
     assert statuses["audit_drops"].ok
+
+
+@register_trusted_agent_class
+class _Squatter(Agent):
+    """Sleeps far past its host's residency limit."""
+
+    def run(self):
+        self.host.sleep(10_000.0)
+        self.complete("finally")
+
+
+def test_conservation_law_holds_through_a_lifetime_eviction():
+    # A plain world (no self-healing) still removes residents forcibly;
+    # the monitor's one conservation law must net the kill out.
+    bed = Testbed(1, seed=35, server_kwargs={"resident_lifetime_limit": 60.0})
+    bed.launch(_Squatter(), Rights.none())
+    bed.run(detect_deadlock=False)
+    assert bed.home.stats["agents_killed_lifetime"] == 1
+    monitor = bed.slo_monitor()
+    assert [o.name for o in monitor.objectives][0] == "agent_conservation"
+    monitor.assert_ok()
 
 
 def test_audit_drop_residual_sums_across_fleet():

@@ -79,7 +79,10 @@ def test_chrome_from_jsonl_mirrors_tracer_export(tmp_path):
     assert x[0]["dur"] == native_x[0]["dur"]
     instants = [e for e in rebuilt["traceEvents"] if e["ph"] == "i"]
     assert instants[0]["name"] == "rpc.call/sent"
-    assert instants[0]["args"] == {"bytes": 12}
+    assert instants[0]["args"] == {"span_id": span.span_id, "bytes": 12}
+    # One converter: with every span on a named server, the two
+    # documents are equal event for event.
+    assert rebuilt == native
 
 
 def test_chrome_handles_open_spans_and_blank_lines():

@@ -37,6 +37,21 @@ class Mover(Agent):
         self.complete()
 
 
+@register_trusted_agent_class
+class Revisitor(Agent):
+    """Walks an itinerary, then parks (sleeps) at its last stop."""
+
+    def __init__(self) -> None:
+        self.itinerary: list[str] = []
+
+    def run(self):
+        if self.itinerary:
+            self.go(self.itinerary.pop(0), "run")
+        for _ in range(1000):
+            self.host.sleep(10.0)
+        self.complete("woke up")
+
+
 def secure_query(bed, from_server, to_server, app_kind, body) -> dict:
     """Run a blocking secure call from one server to another."""
     result: list[dict] = []
@@ -112,6 +127,29 @@ class TestControlCommands:
         assert "error" in reply
         assert bed.home.stats["control_refused"] == 1
         assert bed.home.resident_status(image.name)["status"] == "running"
+
+    def test_home_site_controls_the_live_record_of_a_revisiting_agent(self):
+        # home -> s1 -> home -> s1: s1 holds a departed record from the
+        # first visit and a running one from the second.
+        bed = Testbed(2)
+        agent = Revisitor()
+        s1 = bed.servers[1]
+        agent.itinerary = [s1.name, bed.home.name, s1.name]
+        image = bed.launch(agent, Rights.all())
+        bed.run(until=5.0, detect_deadlock=False)
+        statuses = [r.status for r in s1.domain_db.records_of(image.name)]
+        assert statuses == ["departed", "running"]
+        reply = secure_query(
+            bed, bed.home, s1, "agent.status", {"agent": str(image.name)}
+        )
+        assert reply["status"] == "running"
+        reply = secure_query(
+            bed, bed.home, s1, "agent.control",
+            {"agent": str(image.name), "command": "terminate"},
+        )
+        assert reply == {"status": "terminated"}
+        assert s1.stats["agents_terminated_by_owner"] == 1
+        assert s1.resident_status(image.name)["status"] == "terminated"
 
     def test_unknown_command(self):
         bed = Testbed(2)

@@ -145,9 +145,14 @@ class TestMigration:
         sizes = dict(report["payload"]["sizes"])
         assert set(sizes) == {s.name for s in bed.servers}
         assert sizes[bed.servers[1].name] == 2  # item + 1 pad
-        # Every intermediate server shows a departed record.
-        for server in bed.servers[:-1]:
-            assert server.resident_status(image.name)["status"] == "departed"
+        # Every server the agent left shows a departed record for that stay.
+        for server in bed.servers:
+            first = server.domain_db.records_of(image.name)[0]
+            assert first.status == "departed"
+        # Home holds two stays; the status query answers for the newest.
+        statuses = [r.status for r in bed.home.domain_db.records_of(image.name)]
+        assert statuses == ["departed", "completed"]
+        assert bed.home.resident_status(image.name)["status"] == "completed"
 
     def test_name_service_tracks_migration(self):
         bed, _ = self.make_tour(2)
